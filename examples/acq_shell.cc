@@ -153,7 +153,7 @@ class Shell {
              "\\attach <id> gen <kind> [rows] | loaddb <dir>, "
              "\\detach <id>, \\tenant [id], "
              "\\set gamma|delta|batch|max_explored|memory_budget|cache"
-             "|merge_strategy|progress <v>, "
+             "|progress <v>, "
              "\\quit\n");
       return true;
     }
@@ -443,47 +443,36 @@ class Shell {
     if (name == "\\set") {
       std::string key;
       in >> key;
-      if (key == "merge_strategy") {
-        std::string strategy;
-        in >> strategy;
-        if (!ParseMergeStrategy(strategy, &options_.merge_strategy)) {
-          printf("unknown merge_strategy %s "
-                 "(auto|sequential|central|tree|radix)\n",
-                 strategy.c_str());
-          return true;
+      double value = 0.0;
+      in >> value;
+      if (key == "gamma" && value > 0) {
+        options_.gamma = value;
+      } else if (key == "progress") {
+        progress_interval_ms_ = value;
+      } else if (key == "delta" && value >= 0) {
+        options_.delta = value;
+      } else if (key == "batch") {
+        options_.batch_explore =
+            value != 0.0 ? BatchExplore::kOn : BatchExplore::kOff;
+      } else if (key == "max_explored" && value >= 0) {
+        options_.max_explored = static_cast<uint64_t>(value);
+      } else if (key == "memory_budget" && value >= 0) {
+        options_.memory_budget_bytes = static_cast<uint64_t>(value);
+      } else if (key == "cache" && value >= 0) {
+        cache_bytes_ = static_cast<uint64_t>(value);
+        if (cache_bytes_ == 0) {
+          cache_.clear();
+          cache_order_.clear();
+          cache_used_ = 0;
         }
+        EvictCache();
       } else {
-        double value = 0.0;
-        in >> value;
-        if (key == "gamma" && value > 0) {
-          options_.gamma = value;
-        } else if (key == "progress") {
-          progress_interval_ms_ = value;
-        } else if (key == "delta" && value >= 0) {
-          options_.delta = value;
-        } else if (key == "batch") {
-          options_.batch_explore =
-              value != 0.0 ? BatchExplore::kOn : BatchExplore::kOff;
-        } else if (key == "max_explored" && value >= 0) {
-          options_.max_explored = static_cast<uint64_t>(value);
-        } else if (key == "memory_budget" && value >= 0) {
-          options_.memory_budget_bytes = static_cast<uint64_t>(value);
-        } else if (key == "cache" && value >= 0) {
-          cache_bytes_ = static_cast<uint64_t>(value);
-          if (cache_bytes_ == 0) {
-            cache_.clear();
-            cache_order_.clear();
-            cache_used_ = 0;
-          }
-          EvictCache();
-        } else {
-          printf("usage: \\set gamma|delta|batch|max_explored|memory_budget"
-                 "|cache|merge_strategy|progress <value>\n");
-          return true;
-        }
+        printf("usage: \\set gamma|delta|batch|max_explored|memory_budget"
+               "|cache|progress <value>\n");
+        return true;
       }
       printf("gamma=%.3f delta=%.4f max_explored=%llu memory_budget=%llu "
-             "batch=%s merge=%s cache=%llu\n",
+             "batch=%s cache=%llu\n",
              options_.gamma, options_.delta,
              static_cast<unsigned long long>(options_.max_explored),
              static_cast<unsigned long long>(options_.memory_budget_bytes),
@@ -491,7 +480,6 @@ class Shell {
                  ? "off"
                  : options_.batch_explore == BatchExplore::kOn ? "on"
                                                                : "auto",
-             MergeStrategyName(options_.merge_strategy),
              static_cast<unsigned long long>(cache_bytes_));
       return true;
     }

@@ -184,10 +184,6 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
   double merge_ms = 0.0;
   uint64_t total_cell_queries = 0;
 
-  // How each batched layer's Eq. 17 merges were published (parallel_merge).
-  MergeStats merge_stats;
-  uint64_t merge_layers_sequential = 0;
-
   // Layer-boundary bookkeeping (divergence detection across completed
   // layers; see AcquireOptions). False stops the search.
   auto close_layer = [&](double score) {
@@ -301,10 +297,6 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
       snap->prepare_ms = stats.prepare_ms;
       snap->delta_rows = stats.delta_rows;
       snap->delta_merges = stats.delta_merges;
-      snap->merge_layers_central = merge_stats.central_layers;
-      snap->merge_layers_tree = merge_stats.tree_layers;
-      snap->merge_layers_radix = merge_stats.radix_layers;
-      snap->merge_layers_sequential = merge_layers_sequential;
     });
   };
 
@@ -367,13 +359,8 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
   } else {
     BatchExplorer batch(&space, layer, generator.get(), ctx);
     // Shell order's whole shell drains as one layer with intra-layer
-    // predecessors, so it keeps the cursor-based sequential merge; the
-    // other orders hand in-sync layers to the parallel merger.
+    // predecessors, so it arms the shell cursors instead of the BFS window.
     batch.set_shell_drain_hint(effective_order == SearchOrder::kShell);
-    ParallelLayerMerger merger;
-    const bool try_parallel_merge =
-        options.use_incremental && effective_order != SearchOrder::kShell &&
-        options.merge_strategy != MergeStrategy::kSequential;
     std::vector<AggregateOps::State> layer_states;  // non-incremental mode
     bool running = true;
     while (running && !interrupted() && batch.NextLayer()) {
@@ -399,17 +386,6 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
       }
 
       Stopwatch t_merge;
-      if (options.use_incremental) {
-        // Two-phase parallel merge of the whole layer when it qualifies;
-        // the per-coordinate ComputeAggregate below then reduces to store
-        // lookups. A false return leaves the store and seeds untouched, so
-        // the sequential per-coordinate path is the unchanged reference.
-        const bool merged_parallel =
-            try_parallel_merge && batch.last_layer_in_sync() &&
-            merger.MergeLayer(&batch.explorer(), batch.layer(),
-                              options.merge_strategy, budget);
-        if (!merged_parallel) ++merge_layers_sequential;
-      }
       for (size_t q = 0; q < batch.layer().size(); ++q) {
         const GridCoord& coord = batch.layer()[q];
         double aggregate;
@@ -432,17 +408,16 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
                                 std::memory_order_relaxed);
       }
       if (running) {
-        // This equi-score layer is fully investigated: a drain point. The
-        // merge publication counters are refreshed first so the frame's
-        // snapshot reflects the layer that just drained.
-        merge_stats = merger.stats();
+        // This equi-score layer is fully investigated: a drain point.
         layer_drained();
       }
     }
+    // An early exit can leave the next layer's prefetch running, and it
+    // writes expand_ms_ until joined.
+    batch.Finish();
     total_cell_queries = batch.explorer().cell_queries();
     expand_ms += batch.expand_ms();
     explore_ms += batch.batch_ms();
-    merge_stats = merger.stats();
   }
 
   result.satisfied = !result.queries.empty();
@@ -463,10 +438,6 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
   result.exec_stats.expand_ms = expand_ms;
   result.exec_stats.explore_ms = explore_ms;
   result.exec_stats.merge_ms = merge_ms;
-  result.exec_stats.merge_layers_central = merge_stats.central_layers;
-  result.exec_stats.merge_layers_tree = merge_stats.tree_layers;
-  result.exec_stats.merge_layers_radix = merge_stats.radix_layers;
-  result.exec_stats.merge_layers_sequential = merge_layers_sequential;
   result.elapsed_ms = sw.ElapsedMillis();
   return result;
 }

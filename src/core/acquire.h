@@ -8,7 +8,6 @@
 #include "core/expand.h"
 #include "core/explore.h"
 #include "core/norms.h"
-#include "core/parallel_merge.h"
 #include "core/refined_query.h"
 #include "core/run_context.h"
 #include "exec/evaluation.h"
@@ -25,10 +24,9 @@ enum class SearchOrder {
 
 /// Layer-batched Explore (core/explore.h's BatchExplorer): drain an entire
 /// expand layer, execute its cell sub-queries in one EvaluateCells batch,
-/// then run the Eq. 17 merges in generation order (in parallel when
-/// AcquireOptions::merge_strategy allows). Aggregates, answer sets and
-/// cell-query counts are identical to the sequential explorer; only the
-/// wall clock changes.
+/// then run the Eq. 17 merges sequentially in generation order. Aggregates,
+/// answer sets and cell-query counts are identical to the sequential
+/// explorer; only the wall clock changes.
 enum class BatchExplore {
   kAuto,  // on for every search order: BFS and shell emit discrete layers,
           // and best-first micro-batches equal-score frontier runs (often
@@ -52,14 +50,6 @@ struct AcquireOptions {
   SearchOrder order = SearchOrder::kAuto;
 
   BatchExplore batch_explore = BatchExplore::kAuto;
-
-  /// How batched layers' Eq. 17 merges are published into the aggregate
-  /// store (core/parallel_merge.h). Result-invariant: every strategy is
-  /// bit-exact against the sequential reference, so this knob only moves
-  /// wall clock and is excluded from the task fingerprint. kAuto picks per
-  /// layer from cell cardinality and pool fan-out; kSequential forces the
-  /// reference path.
-  MergeStrategy merge_strategy = MergeStrategy::kAuto;
 
   /// Repartitioning depth b for cells that overshoot an equality constraint
   /// (Section 6); 0 disables repartitioning.

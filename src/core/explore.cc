@@ -1,7 +1,6 @@
 #include "core/explore.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/failpoint.h"
 #include "common/stopwatch.h"
@@ -89,56 +88,6 @@ const double* AggregateStore::FindWithSlot(const GridCoord& coord,
   *slot = i;
   const uint32_t e = slots_[i];
   return e == 0 ? nullptr : arena_.data() + (e - 1) * block_width_;
-}
-
-size_t AggregateStore::BulkAppendBegin(size_t count) {
-  const size_t base = num_entries_;
-  const size_t total = base + count;
-  // The slot table must reach its final size before the entries exist:
-  // Rehash re-inserts every entry below num_entries_, and the new entries'
-  // keys are not written yet — rehashing after the append would file them
-  // all under the zero key, double-filling the table once the real slots
-  // are published. Callers Reserve() the layer first, so this is a safety
-  // net; either way no rehash can run between here and publication.
-  if (total * 4 > slots_.size() * 3) {
-    Rehash(NextPowerOfTwo(total * 4 / 3 + 1));
-  }
-  num_entries_ = total;
-  keys_.resize(total * d_, 0);
-  arena_.resize(total * block_width_, 0.0);
-  ChargeGrowth();
-  return base;
-}
-
-void AggregateStore::PublishSlotsSequential(size_t base, size_t count) {
-  for (size_t e = base; e < base + count; ++e) {
-    slots_[ProbeSlot(keys_.data() + e * d_)] = static_cast<uint32_t>(e + 1);
-  }
-}
-
-size_t AggregateStore::HomeSlot(const int32_t* key) const {
-  return static_cast<size_t>(HashGridCoordSpan(key, d_)) &
-         (slots_.size() - 1);
-}
-
-void AggregateStore::PublishSlotAtomic(size_t e, size_t home) {
-  const size_t mask = slots_.size() - 1;
-  const uint32_t v = static_cast<uint32_t>(e + 1);
-  size_t i = home & mask;
-  for (;;) {
-    std::atomic_ref<uint32_t> slot(slots_[i]);
-    uint32_t expected = slot.load(std::memory_order_acquire);
-    // Occupied slots can never hold this key (bulk-published keys are all
-    // distinct and new), so a loser just advances its probe chain. The
-    // table was sized by BulkAppendBegin to keep load under 3/4, so an
-    // empty slot always exists.
-    if (expected == 0 &&
-        slot.compare_exchange_strong(expected, v, std::memory_order_acq_rel,
-                                     std::memory_order_acquire)) {
-      return;
-    }
-    i = (i + 1) & mask;
-  }
 }
 
 double* AggregateStore::InsertHinted(const GridCoord& coord, size_t hint) {
@@ -243,11 +192,6 @@ bool Explorer::TakeSeed(const GridCoord& coord, AggregateOps::State* out) {
   out->swap(seed_states_[e]);
   seed_states_[e].clear();  // deterministic consumed marker
   return true;
-}
-
-void Explorer::ConsumeAllSeeds() {
-  for (AggregateOps::State& seed : seed_states_) seed.clear();
-  seed_cursor_ = seed_states_.size();
 }
 
 void Explorer::BeginLayerDrain(size_t lo, size_t hi) {
@@ -408,15 +352,17 @@ BatchExplorer::BatchExplorer(const RefinedSpace* space, EvaluationLayer* layer,
       ctx_(ctx),
       explorer_(space, layer, ctx != nullptr ? &ctx->budget() : nullptr) {}
 
-BatchExplorer::~BatchExplorer() {
-  if (prefetch_.valid()) {
-    // Helping join (see NextLayer): the destructor may run on a pool
-    // worker whose prefetch task is still queued behind other work.
-    try {
-      ThreadPool::Shared().HelpWhileWaiting(prefetch_);
-    } catch (...) {
-      // Generator failures surface through NextLayer, never from here.
-    }
+BatchExplorer::~BatchExplorer() { Finish(); }
+
+void BatchExplorer::Finish() {
+  if (!prefetch_.valid()) return;
+  // Helping join (see NextLayer): the caller may run on a pool worker
+  // whose prefetch task is still queued behind other work. The future's
+  // get() invalidates it, so a second Finish is a no-op.
+  try {
+    ThreadPool::Shared().HelpWhileWaiting(prefetch_);
+  } catch (...) {
+    // Generator failures surface through NextLayer, never from here.
   }
 }
 
@@ -520,7 +466,6 @@ Status BatchExplorer::ExecuteLayer() {
     }
     coords = &batch_;
   }
-  last_in_sync_ = in_sync;
   // In sync, store entries [drained_total_ - prev_layer_size_,
   // drained_total_) are exactly the previous layer in drain order — arm
   // the explorer's sequential predecessor cursors over that range. Shell

@@ -80,30 +80,6 @@ class AggregateStore {
   size_t state_width() const { return state_width_; }
   size_t block_width() const { return block_width_; }
 
-  /// --- Bulk layer publication (core/parallel_merge) ---
-  /// Appends `count` zero-filled entries without touching the slot table
-  /// and returns the first new entry index. The caller fills their keys and
-  /// blocks through MutableKeyAt/MutableBlockAt, then makes them findable
-  /// with exactly one of the PublishSlots* calls. The slot table is resized
-  /// here if needed, so no rehash can happen between this call and the
-  /// publication — which is what lets the radix publisher precompute home
-  /// slots and claim them concurrently.
-  size_t BulkAppendBegin(size_t count);
-  int32_t* MutableKeyAt(size_t e) { return keys_.data() + e * d_; }
-  double* MutableBlockAt(size_t e) { return arena_.data() + e * block_width_; }
-  /// Inserts entries [base, base + count) into the slot table in entry
-  /// order from one thread — the deterministic reference layout.
-  void PublishSlotsSequential(size_t base, size_t count);
-  /// Start of entry `e`'s probe chain under the current table size.
-  size_t HomeSlot(const int32_t* key) const;
-  size_t slot_count() const { return slots_.size(); }
-  /// Lock-free claim of the first empty slot on the probe chain starting at
-  /// `home` for entry `e`. Safe to call concurrently for distinct entries
-  /// with distinct keys (a CAS loser simply advances); the slot layout may
-  /// differ from the sequential one, which no lookup can observe, and any
-  /// later Rehash rebuilds the reference layout from entry order anyway.
-  void PublishSlotAtomic(size_t e, size_t home);
-
   /// Entry `e`'s key / block by insertion order (e < size()). Entries are
   /// append-only, so indices are stable; block pointers are stable until
   /// the next Insert.
@@ -208,21 +184,6 @@ class Explorer {
 
   const AggregateStore& store() const { return store_; }
 
-  /// --- Parallel layer merge hooks (core/parallel_merge) ---
-  /// Positional read-only access to the current batch's seeds: seed q is
-  /// O_1 of the q-th coordinate passed to SeedCellStates. The parallel
-  /// merger reads these from pool workers; nothing may mutate the explorer
-  /// while a merge is in flight.
-  size_t seed_count() const { return seed_states_.size(); }
-  const AggregateOps::State& SeedStateAt(size_t q) const {
-    return seed_states_[q];
-  }
-  /// Marks every seed consumed after a parallel merge published the whole
-  /// layer, so a later TakeSeed can never replay one.
-  void ConsumeAllSeeds();
-  AggregateStore& mutable_store() { return store_; }
-  const RefinedSpace& space() const { return *space_; }
-
  private:
   /// Ensures store_ holds the sub-aggregates of `coord` (iterative
   /// dependency-stack fill) and sets `block` to its stored block.
@@ -307,7 +268,7 @@ class BatchExplorer {
   BatchExplorer(const RefinedSpace* space, EvaluationLayer* layer,
                 QueryGenerator* generator, RunContext* ctx = nullptr);
 
-  /// Joins an in-flight layer prefetch.
+  /// Joins an in-flight layer prefetch (Finish).
   ~BatchExplorer();
 
   BatchExplorer(const BatchExplorer&) = delete;
@@ -328,11 +289,6 @@ class BatchExplorer {
   /// coordinate of the current layer in one batch and seeds the explorer.
   Status ExecuteLayer();
 
-  /// True when the last ExecuteLayer was an in-sync drain: every layer
-  /// coordinate was new and seeded positionally — the precondition for
-  /// handing the layer to ParallelLayerMerger.
-  bool last_layer_in_sync() const { return last_in_sync_; }
-
   /// Tells ExecuteLayer which predecessor fast path to arm on in-sync
   /// layers: the shell drain (BeginShellDrain) instead of the descending
   /// BFS window. Set once by the driver for shell search order.
@@ -340,9 +296,17 @@ class BatchExplorer {
 
   Explorer& explorer() { return explorer_; }
 
+  /// Joins the in-flight layer prefetch, if any. A driver that stops
+  /// before the generator is exhausted (satisfied, STOP, deadline, budget)
+  /// must call this before reading expand_ms(): the prefetch task writes
+  /// expand_ms_ on a pool worker until the join. Idempotent; NextLayer must
+  /// not be called afterwards.
+  void Finish();
+
   /// Cumulative generator time (NextLayer) and batch execution time
   /// (ExecuteLayer), for per-phase driver stats. Prefetched generator time
   /// overlaps the caller's work, so phase times can sum past wall time.
+  /// Read expand_ms() only after Finish().
   double expand_ms() const { return expand_ms_; }
   double batch_ms() const { return batch_ms_; }
 
@@ -372,7 +336,6 @@ class BatchExplorer {
   std::vector<GridCoord> batch_;  // scratch: coords needing execution
   size_t drained_total_ = 0;      // coords handed out in previous layers
   size_t prev_layer_size_ = 0;    // size of the layer drained before this one
-  bool last_in_sync_ = false;     // last ExecuteLayer was an in-sync drain
   bool shell_hint_ = false;       // arm the shell drain on in-sync layers
   double expand_ms_ = 0.0;
   double batch_ms_ = 0.0;

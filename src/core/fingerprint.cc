@@ -167,10 +167,8 @@ Result<std::string> CanonicalTaskKey(const Catalog& catalog,
       options.divergence_patience,
       static_cast<unsigned long long>(options.stall_limit));
   // Deliberately absent: options.memory_budget_bytes, options.run_ctx
-  // (deadline/cancellation), failpoint state — they decide whether a run
-  // completes, never what a completed run returns — and
-  // options.merge_strategy, whose strategies are all bit-exact against the
-  // sequential reference (core/parallel_merge.h).
+  // (deadline/cancellation) and failpoint state — they decide whether a run
+  // completes, never what a completed run returns.
   return key;
 }
 

@@ -64,10 +64,6 @@ struct ProgressSnapshot {
   double prepare_ms = 0.0;
   uint64_t delta_rows = 0;
   uint64_t delta_merges = 0;
-  uint64_t merge_layers_central = 0;
-  uint64_t merge_layers_tree = 0;
-  uint64_t merge_layers_radix = 0;
-  uint64_t merge_layers_sequential = 0;
 };
 
 /// Cooperative deadline + cancellation token + progress counters threaded

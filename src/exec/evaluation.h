@@ -102,16 +102,6 @@ class EvaluationLayer {
     double explore_ms = 0.0;
     double merge_ms = 0.0;
 
-    /// How the batched explorer published each layer's Eq. 17 merges
-    /// (core/parallel_merge.h), filled by RunAcquire. Sequential counts
-    /// layers the adaptive controller, a failpoint, or an intra-layer
-    /// dependency sent down the reference path (and every layer of a
-    /// non-batched or shell-order run).
-    uint64_t merge_layers_central = 0;
-    uint64_t merge_layers_tree = 0;
-    uint64_t merge_layers_radix = 0;
-    uint64_t merge_layers_sequential = 0;
-
     /// Index build cost, filled by the layer itself: wall time spent inside
     /// Prepare() (0 for layers with a no-op Prepare), rows currently staged
     /// in the incremental-maintenance delta buffer, and how many times the

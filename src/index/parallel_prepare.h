@@ -62,14 +62,13 @@ struct PrepareBuildInfo {
 /// distinct cells, counting-sort the rows into cell order, fold each cell's
 /// contiguous payload.
 ///
-/// Sharded parallel build (two-phase, mirroring core/parallel_merge's
-/// shape): (A) per-row cell coordinates are computed over row chunks on the
-/// pool; (B) rows are range-partitioned by cell coordinate into per-worker
-/// buckets using deterministic sample-based splitters (all rows of one cell
-/// land in one bucket; per-chunk counts + prefix sums keep each bucket's
-/// rows in relation order), each bucket then runs the sequential reference
-/// on its slice in parallel, and the bucket layouts concatenate into the
-/// global CSR arrays. Because every cell lives in exactly one bucket and
+/// Sharded parallel build (two-phase): (A) per-row cell coordinates are
+/// computed over row chunks on the pool; (B) rows are range-partitioned by
+/// cell coordinate into per-worker buckets using deterministic sample-based
+/// splitters (all rows of one cell land in one bucket; per-chunk counts +
+/// prefix sums keep each bucket's rows in relation order), each bucket then
+/// runs the sequential reference on its slice in parallel, and the bucket
+/// layouts concatenate into the global CSR arrays. Because every cell lives in exactly one bucket and
 /// buckets are ordered by the splitters, the concatenation IS the sorted
 /// order, and each cell's payload/fold order matches the reference exactly —
 /// the parallel build is bit-identical by construction, not by luck.

@@ -115,12 +115,6 @@ JsonValue ProgressFrameJson(const Session& session,
   frame.Set("prepare_ms", JsonValue::Number(snap.prepare_ms));
   frame.Set("delta_rows", num(snap.delta_rows));
   frame.Set("delta_merges", num(snap.delta_merges));
-  JsonValue merges = JsonValue::Object();
-  merges.Set("central", num(snap.merge_layers_central));
-  merges.Set("tree", num(snap.merge_layers_tree));
-  merges.Set("radix", num(snap.merge_layers_radix));
-  merges.Set("sequential", num(snap.merge_layers_sequential));
-  frame.Set("merge_layers", std::move(merges));
   JsonValue gov = JsonValue::Object();
   ResourceGovernor::TenantUsage usage;
   if (governor->Usage(manager, &usage)) {
@@ -589,17 +583,6 @@ JsonValue AcqServer::HandleSubmit(const JsonValue& request,
                            "'batch_explore' must be a bool or a string");
     }
   }
-  if (const JsonValue* merge = request.Get("merge_strategy");
-      merge != nullptr) {
-    if (!merge->is_string() ||
-        !ParseMergeStrategy(merge->AsString(), &options.merge_strategy)) {
-      return ErrorResponse(
-          Status::InvalidArgument,
-          StringFormat("unknown merge_strategy '%s' "
-                       "(auto|sequential|central|tree|radix)",
-                       merge->is_string() ? merge->AsString().c_str() : "?"));
-    }
-  }
   const double budget_bytes = request.GetNumber(
       "memory_budget_bytes",
       static_cast<double>(options_.default_memory_budget_bytes));
@@ -752,15 +735,9 @@ JsonValue AcqServer::HandleStats(const JsonValue& request) {
   set("cell_queries", counters.cell_queries);
   set("eval_queries", counters.eval_queries);
   set("tuples_scanned", counters.tuples_scanned);
-  // Eq. 17 merge publication tallies (core/parallel_merge.h), folded
-  // across finished runs. STATS-only: reports/envelopes never carry them,
-  // so cached replies stay byte-identical.
-  set("merge_layers_central", counters.merge_layers_central);
-  set("merge_layers_tree", counters.merge_layers_tree);
-  set("merge_layers_radix", counters.merge_layers_radix);
-  set("merge_layers_sequential", counters.merge_layers_sequential);
-  // Index-build and live-ingestion tallies (STATS-only, like the merge
-  // counters above): cumulative prepare wall time, rows staged into index
+  // Index-build and live-ingestion tallies, folded across finished runs.
+  // STATS-only: reports/envelopes never carry them, so cached replies stay
+  // byte-identical. Cumulative prepare wall time, rows staged into index
   // delta buffers, delta-into-base merges, and APPEND activity.
   stats.Set("prepare_ms",
             JsonValue::Number(static_cast<double>(counters.prepare_micros) /

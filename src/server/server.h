@@ -71,9 +71,12 @@ struct ServerOptions {
 ///            "gamma":?, "delta":?, "order":"auto|bfs|shell|best_first",
 ///            "backend":"auto|direct|cached|parallel|grid|cell_sorted",
 ///            "batch_explore":"auto|on|off",
-///            "merge_strategy":"auto|sequential|central|tree|radix",
 ///            "max_explored":?, "timeout_ms":?, "wait":bool,
 ///            "progress":{"interval_ms":N} | true}
+///           Fields SUBMIT does not read are ignored, whatever their
+///           value: a SUBMIT from an older client that still sends a
+///           retired option runs and replies exactly as it would without
+///           it.
 ///           -> {"ok":true,"id":"s-1","state":...}; with "wait":true the
 ///           response is the terminal STATUS report instead. With the
 ///           result cache enabled (cache_bytes > 0), a SUBMIT matching a

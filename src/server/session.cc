@@ -783,11 +783,6 @@ void SessionManager::RunSession(const SessionPtr& session, SessionPtr* next) {
         counters_.cell_queries += result.cell_queries;
         counters_.eval_queries += result.exec_stats.queries;
         counters_.tuples_scanned += result.exec_stats.tuples_scanned;
-        counters_.merge_layers_central += result.exec_stats.merge_layers_central;
-        counters_.merge_layers_tree += result.exec_stats.merge_layers_tree;
-        counters_.merge_layers_radix += result.exec_stats.merge_layers_radix;
-        counters_.merge_layers_sequential +=
-            result.exec_stats.merge_layers_sequential;
         counters_.prepare_micros +=
             static_cast<uint64_t>(result.exec_stats.prepare_ms * 1000.0);
         counters_.delta_rows += result.exec_stats.delta_rows;

@@ -142,16 +142,9 @@ struct ServerCounters {
   /// that already failed deterministically >= kNegativeThreshold times);
   /// they bump only `submitted` plus this — no slot, no run, no `failed`.
   uint64_t cache_negative_served = 0;
-  /// How finished runs' batched layers published their Eq. 17 merges
-  /// (ExecStats::merge_layers_*, folded like the counters above).
-  uint64_t merge_layers_central = 0;
-  uint64_t merge_layers_tree = 0;
-  uint64_t merge_layers_radix = 0;
-  uint64_t merge_layers_sequential = 0;
   /// Index-build work folded across finished runs (ExecStats::prepare_ms in
   /// microseconds) plus delta-maintenance activity (rows staged into index
-  /// delta buffers and buffer-into-base merges). STATS-only, like the merge
-  /// tallies above.
+  /// delta buffers and buffer-into-base merges). STATS-only.
   uint64_t prepare_micros = 0;
   uint64_t delta_rows = 0;
   uint64_t delta_merges = 0;

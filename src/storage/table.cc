@@ -110,6 +110,7 @@ std::vector<Value> Table::GetRow(size_t row) const {
 }
 
 const ColumnStats& Table::Stats(size_t col) const {
+  std::lock_guard<std::mutex> lock(stats_mu_);
   if (stats_dirty_) {
     stats_.clear();
     stats_.reserve(columns_.size());

@@ -2,6 +2,7 @@
 #define ACQUIRE_STORAGE_TABLE_H_
 
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -58,7 +59,10 @@ class Table {
   /// Full row materialization (mostly for tests and examples).
   std::vector<Value> GetRow(size_t row) const;
 
-  /// Cached per-column stats; recomputed after mutation.
+  /// Cached per-column stats; recomputed after mutation. Safe to call from
+  /// concurrent readers (planners share a table under a read lock); the
+  /// returned reference stays valid until the next mutation, and mutations
+  /// must not run concurrently with readers.
   const ColumnStats& Stats(size_t col) const;
 
   /// Pretty-prints up to `limit` rows.
@@ -69,6 +73,7 @@ class Table {
   Schema schema_;
   std::vector<Column> columns_;
   size_t num_rows_ = 0;
+  mutable std::mutex stats_mu_;  // guards the lazy fill of stats_
   mutable std::vector<ColumnStats> stats_;
   mutable bool stats_dirty_ = true;
 };

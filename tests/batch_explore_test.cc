@@ -6,8 +6,11 @@
 // in the same order either way — so even SUM/AVG must match exactly.
 
 #include <gtest/gtest.h>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <memory>
+#include <thread>
 #include <tuple>
 
 #include "acquire.h"
@@ -264,6 +267,74 @@ TEST(BatchExploreTest, PhaseTimingsAreReported) {
   EXPECT_GE(result->exec_stats.merge_ms, 0.0);
   EXPECT_GE(result->elapsed_ms,
             0.0);  // monotonic stopwatch can never go negative
+}
+
+// BFS generator that parks the first call reaching layer 4 until released,
+// so the prefetch generating layer 3 is provably still running.
+class ParkingGenerator final : public QueryGenerator {
+ public:
+  explicit ParkingGenerator(const RefinedSpace* space) : inner_(space) {}
+
+  bool Next(GridCoord* out) override {
+    if (!inner_.Next(out)) return false;
+    int sum = 0;
+    for (int32_t c : *out) sum += c;
+    if (sum >= 4 && !released.load()) {
+      parked.store(true);
+      while (!released.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    return true;
+  }
+  double CurrentScore() const override { return inner_.CurrentScore(); }
+
+  std::atomic<bool> parked{false};
+  std::atomic<bool> released{false};
+
+ private:
+  BfsGenerator inner_;
+};
+
+// A driver that stops early (here: a cancel latched while the next layer
+// is still being generated) must join the prefetch before it reads
+// expand_ms. Finish() is that join: it waits out the in-flight layer, whose
+// generator time is then counted, and nothing writes the stats afterwards.
+TEST(BatchExploreTest, FinishJoinsInFlightPrefetchBeforeStatsRead) {
+  if (ThreadPool::Shared().num_threads() < 2) {
+    GTEST_SKIP() << "a one-worker pool generates layers inline";
+  }
+  SyntheticOptions topt;
+  topt.d = 3;
+  auto fixture = MakeSyntheticTask(topt);
+  ASSERT_NE(fixture, nullptr);
+  RefinedSpace space(&fixture->task, 12.0, Norm::L1());
+  CachedEvaluationLayer layer(&fixture->task);
+  ParkingGenerator generator(&space);
+  RunContext ctx;
+  BatchExplorer batch(&space, &layer, &generator, &ctx);
+
+  // BFS layers 0..2 hold 1, 3 and 6 coordinates; handing out layer 2 starts
+  // the prefetch of layer 3, which parks on its lookahead into layer 4.
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(batch.NextLayer());
+  ASSERT_EQ(batch.layer().size(), 6u);
+  while (!generator.parked.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ctx.RequestCancel();
+  ASSERT_TRUE(ctx.ShouldStop());
+
+  constexpr int kParkMs = 30;
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(kParkMs));
+    generator.released.store(true);
+  });
+  batch.Finish();
+  const double expand_ms = batch.expand_ms();
+  releaser.join();
+  EXPECT_GE(expand_ms, static_cast<double>(kParkMs));
+  batch.Finish();  // idempotent: nothing left to join
+  EXPECT_EQ(batch.expand_ms(), expand_ms);
 }
 
 }  // namespace

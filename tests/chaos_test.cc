@@ -104,7 +104,6 @@ TEST(ChaosTest, ConcurrentClientsSurviveRandomFaults) {
                       "server.pool_enqueue=p:0.05;"
                       "server.progress_emit=p:0.05;"
                       "explore.arena_grow=p:0.05;"
-                      "explore.parallel_merge=p:0.05;"
                       "expand.layer_alloc=p:0.05;"
                       "exec.parallel_for=p:0.05;"
                       "index.batch_eval=p:0.05;"
@@ -332,7 +331,6 @@ TEST(ChaosTest, StrategyFailpointsNeverChangeResults) {
   ASSERT_TRUE(registry
                   .ConfigureFromSpec(
                       "exec.parallel_for=p:0.5;index.batch_eval=p:0.5;"
-                      "explore.parallel_merge=p:0.5;"
                       "index.parallel_prepare=p:0.5;"
                       "index.delta_merge=p:0.5")
                   .ok());
@@ -395,7 +393,6 @@ TEST(ChaosTest, CacheStaysBitExactUnderChaos) {
                       "server.parse=p:0.05;server.admit=p:0.05;"
                       "server.pool_enqueue=p:0.05;server.run=p:0.05;"
                       "explore.arena_grow=p:0.05;"
-                      "explore.parallel_merge=p:0.05;"
                       "expand.layer_alloc=p:0.05;"
                       "exec.parallel_for=p:0.05;"
                       "index.batch_eval=p:0.05;"

@@ -34,6 +34,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -320,6 +321,10 @@ struct CrashSite {
   int expected_extra_lo;  // recovered - acked lower bound
   int expected_extra_hi;  // recovered - acked upper bound
 };
+
+// Names each instance by its failpoint spec; the default printer dumps the
+// struct's bytes, whose `spec` pointer differs from run to run.
+void PrintTo(const CrashSite& site, std::ostream* os) { *os << site.spec; }
 
 // pre_write dies before any byte of the record is written and mid_write
 // dies between the frame header and the payload (a torn tail): in both

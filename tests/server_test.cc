@@ -550,6 +550,48 @@ TEST(ServerTest, WrongTypedFieldsRejectedNotCrashed) {
   }
 }
 
+// Drops the fields two runs of the same task may differ in: the session
+// id and the wall-clock timings.
+JsonValue WithoutIdAndTiming(const JsonValue& value) {
+  if (value.is_object()) {
+    JsonValue out = JsonValue::Object();
+    for (const auto& [key, member] : value.Members()) {
+      if (key == "id" || key == "elapsed_ms" || key == "wall_ms") continue;
+      out.Set(key, WithoutIdAndTiming(member));
+    }
+    return out;
+  }
+  if (value.is_array()) {
+    JsonValue out = JsonValue::Array();
+    for (const JsonValue& element : value.AsArray()) {
+      out.Append(WithoutIdAndTiming(element));
+    }
+    return out;
+  }
+  return value;
+}
+
+// SUBMIT ignores fields it does not know, including retired ones: an older
+// client that still selects the removed sharded merge gets the reply it
+// would get without the field, not an error.
+TEST(ServerTest, RetiredSubmitFieldIsIgnored) {
+  AcqServer server(SharedCatalog());
+  JsonValue request = JsonValue::Object();
+  request.Set("cmd", JsonValue::Str("SUBMIT"));
+  request.Set("sql", JsonValue::Str(
+                         "SELECT * FROM users CONSTRAINT COUNT(*) >= 600 "
+                         "WHERE age <= 30 AND income >= 60000"));
+  request.Set("wait", JsonValue::Bool(true));
+  JsonValue plain = MustParse(server.HandleRequestLine(request.Dump()));
+  ASSERT_TRUE(plain.GetBool("ok", false)) << plain.Dump();
+  EXPECT_EQ(plain.GetString("state"), "done");
+
+  request.Set("merge_strategy", JsonValue::Str("radix"));
+  JsonValue stale = MustParse(server.HandleRequestLine(request.Dump()));
+  EXPECT_EQ(WithoutIdAndTiming(stale).Dump(),
+            WithoutIdAndTiming(plain).Dump());
+}
+
 TEST(ClientTest, RetriesReconnectAfterServerSideDrop) {
   if (!FailpointRegistry::compiled_in()) GTEST_SKIP();
   AcqServer server(SharedCatalog());

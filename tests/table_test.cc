@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "storage/catalog.h"
 
 namespace acquire {
@@ -84,6 +88,42 @@ TEST(TableTest, StatsAreCachedAndInvalidated) {
   EXPECT_DOUBLE_EQ(t.Stats(1).max, 2.0);
   ASSERT_TRUE(t.AppendRow({Value(int64_t{2}), Value(8.0), Value("b")}).ok());
   EXPECT_DOUBLE_EQ(t.Stats(1).max, 8.0);
+}
+
+// Concurrent planners share a table under a read lock, so the first
+// Stats() calls on a fresh table race to fill the cache. Every caller must
+// see the finished stats (run under the tsan and asan presets).
+TEST(TableTest, ConcurrentStatsCallsOnFreshTableAgree) {
+  Table t("orders", SimpleSchema());
+  for (int64_t i = 0; i < 20000; ++i) {
+    t.mutable_column(0).AppendInt64(i);
+    t.mutable_column(1).AppendDouble(static_cast<double>(i % 997) - 3.5);
+    t.mutable_column(2).AppendString("x");
+  }
+  ASSERT_TRUE(t.FinalizeAppend().ok());
+
+  constexpr int kThreads = 8;
+  std::atomic<int> ready{0};
+  std::vector<ColumnStats> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      seen[i] = t.Stats(i % 2);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int i = 0; i < kThreads; ++i) {
+    ASSERT_TRUE(seen[i].valid) << i;
+    if (i % 2 == 0) {
+      EXPECT_EQ(seen[i].min, 0.0);
+      EXPECT_EQ(seen[i].max, 19999.0);
+    } else {
+      EXPECT_EQ(seen[i].min, -3.5);
+      EXPECT_EQ(seen[i].max, 992.5);
+    }
+  }
 }
 
 TEST(TableTest, FinalizeAppendSyncsRowCount) {
