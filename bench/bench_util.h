@@ -15,8 +15,10 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "common/random.h"
 
 #include "baselines/binsearch.h"
@@ -217,6 +219,56 @@ class TablePrinter {
 inline std::string Ms(double v) { return StringFormat("%.1f", v); }
 inline std::string Err(double v) { return StringFormat("%.4f", v); }
 inline std::string Score(double v) { return StringFormat("%.2f", v); }
+
+// Build stamps, defined per bench target by bench/CMakeLists.txt.
+#ifndef ACQ_BENCH_BUILD_TYPE
+#define ACQ_BENCH_BUILD_TYPE "unknown"
+#endif
+#ifndef ACQ_BENCH_GIT_SHA
+#define ACQ_BENCH_GIT_SHA "unknown"
+#endif
+
+/// The machine and build a bench result came from, as a JSON object:
+/// hardware threads, compiler, CMAKE_BUILD_TYPE, whether failpoint sites
+/// are compiled in, and the git revision the bench was configured from
+/// ("-dirty" when the tree had uncommitted changes).
+inline std::string MachineJson() {
+#ifdef __clang__
+  const char* compiler = "clang " __clang_version__;
+#else
+  const char* compiler = "gcc " __VERSION__;
+#endif
+  return StringFormat(
+      "{\"nproc\":%u,\"compiler\":\"%s\",\"build_type\":\"%s\","
+      "\"failpoints\":%s,\"git_sha\":\"%s\"}",
+      std::thread::hardware_concurrency(), compiler, ACQ_BENCH_BUILD_TYPE,
+      FailpointRegistry::compiled_in() ? "true" : "false", ACQ_BENCH_GIT_SHA);
+}
+
+/// Median and spread of repeated measurements.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+inline Spread SpreadOf(std::vector<double> samples) {
+  Spread out;
+  if (samples.empty()) return out;
+  std::sort(samples.begin(), samples.end());
+  const size_t n = samples.size();
+  out.median = n % 2 == 1 ? samples[n / 2]
+                          : 0.5 * (samples[n / 2 - 1] + samples[n / 2]);
+  out.min = samples.front();
+  out.max = samples.back();
+  return out;
+}
+
+inline std::string SpreadJson(const Spread& s, const char* fmt = "%.3f") {
+  const std::string f = std::string("{\"median\":") + fmt + ",\"min\":" +
+                        fmt + ",\"max\":" + fmt + "}";
+  return StringFormat(f.c_str(), s.median, s.min, s.max);
+}
 
 }  // namespace bench
 }  // namespace acquire

@@ -72,14 +72,10 @@ Result<std::optional<RefinedQuery>> RepartitionCell(
   return std::optional<RefinedQuery>();
 }
 
+// `order` is resolved (not kAuto).
 std::unique_ptr<QueryGenerator> MakeGenerator(const RefinedSpace& space,
-                                              const AcquireOptions& options,
+                                              SearchOrder order,
                                               MemoryBudget* budget) {
-  SearchOrder order = options.order;
-  if (order == SearchOrder::kAuto) {
-    order = options.norm.kind() == NormKind::kLInf ? SearchOrder::kShell
-                                                   : SearchOrder::kBfs;
-  }
   switch (order) {
     case SearchOrder::kShell:
       // O(d) state — nothing worth metering.
@@ -134,16 +130,16 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
   layer->ResetStats();
   Stopwatch sw;  // after Prepare: elapsed_ms times the search itself
 
-  std::unique_ptr<QueryGenerator> generator =
-      MakeGenerator(space, options, budget);
-  // Per-layer divergence detection only makes sense when the generator
-  // emits discrete layers; best-first scores are (nearly) unique per coord.
   SearchOrder effective_order = options.order;
   if (effective_order == SearchOrder::kAuto) {
     effective_order = options.norm.kind() == NormKind::kLInf
                           ? SearchOrder::kShell
                           : SearchOrder::kBfs;
   }
+  std::unique_ptr<QueryGenerator> generator =
+      MakeGenerator(space, effective_order, budget);
+  // Per-layer divergence detection only makes sense when the generator
+  // emits discrete layers; best-first scores are (nearly) unique per coord.
   const bool discrete_layers = effective_order != SearchOrder::kBestFirst;
   // Every order batches by default now: BFS and shell emit discrete layers,
   // and best-first micro-batches equal-score frontier runs (often single
@@ -183,6 +179,7 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
   double explore_ms = 0.0;
   double merge_ms = 0.0;
   uint64_t total_cell_queries = 0;
+  size_t store_peak_bytes = 0;
 
   // Layer-boundary bookkeeping (divergence detection across completed
   // layers; see AcquireOptions). False stops the search.
@@ -356,11 +353,12 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
       if (!keep) break;
     }
     total_cell_queries = explorer.cell_queries();
+    store_peak_bytes = explorer.store().MemoryBytes();
   } else {
-    BatchExplorer batch(&space, layer, generator.get(), ctx);
-    // Shell order's whole shell drains as one layer with intra-layer
-    // predecessors, so it arms the shell cursors instead of the BFS window.
-    batch.set_shell_drain_hint(effective_order == SearchOrder::kShell);
+    // BFS order addresses the store by layer position; shell order's whole
+    // shell drains as one layer with intra-layer predecessors, which the
+    // shell cursors resolve.
+    BatchExplorer batch(&space, layer, generator.get(), effective_order, ctx);
     std::vector<AggregateOps::State> layer_states;  // non-incremental mode
     bool running = true;
     while (running && !interrupted() && batch.NextLayer()) {
@@ -390,8 +388,7 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
         const GridCoord& coord = batch.layer()[q];
         double aggregate;
         if (options.use_incremental) {
-          ACQ_ASSIGN_OR_RETURN(aggregate,
-                               batch.explorer().ComputeAggregate(coord));
+          ACQ_ASSIGN_OR_RETURN(aggregate, batch.ComputeAggregate(q));
         } else {
           aggregate = task.agg.ops->Final(layer_states[q]);
         }
@@ -404,7 +401,7 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
       }
       merge_ms += t_merge.ElapsedMillis();
       if (ctx != nullptr) {
-        ctx->cell_queries.store(batch.explorer().cell_queries(),
+        ctx->cell_queries.store(batch.cell_queries(),
                                 std::memory_order_relaxed);
       }
       if (running) {
@@ -415,7 +412,8 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
     // An early exit can leave the next layer's prefetch running, and it
     // writes expand_ms_ until joined.
     batch.Finish();
-    total_cell_queries = batch.explorer().cell_queries();
+    total_cell_queries = batch.cell_queries();
+    store_peak_bytes = batch.store_peak_bytes();
     expand_ms += batch.expand_ms();
     explore_ms += batch.batch_ms();
   }
@@ -438,6 +436,7 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
   result.exec_stats.expand_ms = expand_ms;
   result.exec_stats.explore_ms = explore_ms;
   result.exec_stats.merge_ms = merge_ms;
+  result.exec_stats.store_peak_bytes = store_peak_bytes;
   result.elapsed_ms = sw.ElapsedMillis();
   return result;
 }

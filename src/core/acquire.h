@@ -14,14 +14,6 @@
 
 namespace acquire {
 
-/// Which Expand-phase generator drives the search.
-enum class SearchOrder {
-  kAuto,       // shells for the L-infinity norm, BFS otherwise (the paper)
-  kBfs,        // Algorithm 1
-  kShell,      // Algorithm 2
-  kBestFirst,  // exact-QScore priority order (ablation; not in the paper)
-};
-
 /// Layer-batched Explore (core/explore.h's BatchExplorer): drain an entire
 /// expand layer, execute its cell sub-queries in one EvaluateCells batch,
 /// then run the Eq. 17 merges sequentially in generation order. Aggregates,

@@ -12,6 +12,14 @@
 
 namespace acquire {
 
+/// Which Expand-phase generator drives the search.
+enum class SearchOrder {
+  kAuto,       // shells for the L-infinity norm, BFS otherwise (the paper)
+  kBfs,        // Algorithm 1
+  kShell,      // Algorithm 2
+  kBestFirst,  // exact-QScore priority order (ablation; not in the paper)
+};
+
 /// The Expand phase (Section 4): produces grid queries in nondecreasing
 /// refinement order. Implementations guarantee Theorem 2's property — every
 /// query of score k is produced before any query of score > k — which the

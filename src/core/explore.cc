@@ -16,6 +16,12 @@ size_t NextPowerOfTwo(size_t n) {
   return p;
 }
 
+std::vector<int32_t> MaxLevels(const RefinedSpace& space) {
+  std::vector<int32_t> caps(space.d());
+  for (size_t i = 0; i < caps.size(); ++i) caps[i] = space.MaxLevel(i);
+  return caps;
+}
+
 }  // namespace
 
 void AggregateStore::Configure(size_t d, size_t state_width) {
@@ -106,6 +112,66 @@ double* AggregateStore::InsertHinted(const GridCoord& coord, size_t hint) {
   return arena_.data() + offset;
 }
 
+LayerRank::LayerRank(std::vector<int32_t> caps)
+    : caps_(std::move(caps)), d_(caps_.size()), suffix_(d_ + 1, 0) {}
+
+void LayerRank::Extend(int64_t level) {
+  for (; levels_ <= level; ++levels_) {
+    const int64_t s = levels_;
+    table_.resize(table_.size() + d_ + 1);
+    uint64_t* column = table_.data() + static_cast<size_t>(s) * (d_ + 1);
+    // N_d(s) is 1 for s == 0 (the empty completion), else 0. Then
+    // N_k(s) = N_{k+1}(s) + ... + N_{k+1}(s - min(cap_k, s)): a difference
+    // of the prefix sums of row k+1, whose column s is already filled.
+    column[d_] = Prefix(d_, s - 1) + (s == 0 ? 1 : 0);
+    for (size_t k = d_; k-- > 0;) {
+      const int64_t top = std::min<int64_t>(caps_[k], s);
+      column[k] = Prefix(k, s - 1) + Prefix(k + 1, s) -
+                  Prefix(k + 1, s - top - 1);
+    }
+  }
+}
+
+uint64_t LayerRank::LayerSize(int64_t level) const {
+  if (level < 0) return 0;
+  return Prefix(0, level) - Prefix(0, level - 1);
+}
+
+uint64_t LayerRank::Rank(const int32_t* coord, int64_t level) const {
+  uint64_t rank = 0;
+  int64_t rem = level;
+  for (size_t k = 0; k < d_; ++k) {
+    rank += Term(k, rem, coord[k]);
+    rem -= coord[k];
+  }
+  return rank;
+}
+
+void LayerRank::PredecessorRanks(const int32_t* coord, int64_t level,
+                                 uint64_t* out) {
+  // v = u - e_j lies in layer level - 1. Its terms before j see one less
+  // remaining sum, its term at j one less value as well, and its terms
+  // after j equal u's own (both the value and the remaining sum match).
+  uint64_t* suffix = suffix_.data();
+  int64_t rem = level;
+  for (size_t k = 0; k < d_; ++k) {
+    suffix[k] = Term(k, rem, coord[k]);
+    rem -= coord[k];
+  }
+  suffix[d_] = 0;
+  for (size_t k = d_; k-- > 0;) suffix[k] += suffix[k + 1];
+  uint64_t head = 0;  // v's terms before j: sum of Term(k, r_k - 1, u_k)
+  rem = level;
+  for (size_t j = 0; j < d_; ++j) {
+    if (coord[j] > 0) {
+      out[j] = head + Term(j, rem - 1, coord[j] - 1) + suffix[j + 1];
+      if (coord[j] == rem) break;  // every later coordinate is 0
+    }
+    head += Term(j, rem - 1, coord[j]);
+    rem -= coord[j];
+  }
+}
+
 Explorer::Explorer(const RefinedSpace* space, EvaluationLayer* layer,
                    MemoryBudget* budget)
     : space_(space), layer_(layer) {
@@ -194,16 +260,7 @@ bool Explorer::TakeSeed(const GridCoord& coord, AggregateOps::State* out) {
   return true;
 }
 
-void Explorer::BeginLayerDrain(size_t lo, size_t hi) {
-  pred_lo_ = lo;
-  pred_hi_ = hi;
-  pred_cursor_.assign(space_->d(), lo);
-  shell_drain_ = false;
-}
-
 void Explorer::BeginShellDrain(size_t lo) {
-  pred_lo_ = 0;
-  pred_hi_ = 0;
   shell_drain_ = true;
   shell_lo_ = lo;
   shell_group_lo_ = lo;
@@ -242,29 +299,6 @@ const double* Explorer::FindShellPred(size_t j, const int32_t* key) {
   return nullptr;
 }
 
-const double* Explorer::FindPredInRange(size_t j, const int32_t* key) {
-  const size_t d = space_->d();
-  size_t e = pred_cursor_[j];
-  while (e < pred_hi_) {
-    const int32_t* entry = store_.KeyAt(e);
-    size_t i = 0;
-    while (i < d && entry[i] == key[i]) ++i;
-    if (i == d) {
-      // The next predecessor along j is strictly smaller, so this entry
-      // can never match again.
-      pred_cursor_[j] = e + 1;
-      return store_.BlockAt(e);
-    }
-    // Entries at or below `key` stay candidates for the (descending)
-    // future keys; entries above it never match again and are skipped for
-    // good, which bounds the total scan per layer at d * |range|.
-    if (entry[i] < key[i]) break;
-    ++e;
-  }
-  pred_cursor_[j] = e;
-  return nullptr;
-}
-
 Status Explorer::EnsureComputed(const GridCoord& coord, const double** block) {
   if (const double* found = store_.Find(coord)) {
     *block = found;
@@ -291,12 +325,8 @@ Status Explorer::EnsureComputed(const GridCoord& coord, const double** block) {
       pred_blocks_[j] = nullptr;
       if (cur[j] == 0) continue;
       --cur[j];
-      const double* prev_block = nullptr;
-      if (pred_lo_ < pred_hi_) {
-        prev_block = FindPredInRange(j, cur.data());
-      } else if (shell_drain_) {
-        prev_block = FindShellPred(j, cur.data());
-      }
+      const double* prev_block =
+          shell_drain_ ? FindShellPred(j, cur.data()) : nullptr;
       if (prev_block == nullptr) prev_block = store_.Find(cur);
       if (prev_block != nullptr) {
         pred_blocks_[j] = prev_block;
@@ -345,25 +375,44 @@ Status Explorer::EnsureComputed(const GridCoord& coord, const double** block) {
 }
 
 BatchExplorer::BatchExplorer(const RefinedSpace* space, EvaluationLayer* layer,
-                             QueryGenerator* generator, RunContext* ctx)
+                             QueryGenerator* generator, SearchOrder order,
+                             RunContext* ctx)
     : space_(space),
       layer_(layer),
       generator_(generator),
       ctx_(ctx),
-      explorer_(space, layer, ctx != nullptr ? &ctx->budget() : nullptr) {}
+      shell_(order == SearchOrder::kShell),
+      rank_(MaxLevels(*space)),
+      block_width_((space->d() + 1) * space->task().agg.ops->Init().size()),
+      budget_(ctx != nullptr ? &ctx->budget() : nullptr),
+      pred_rank_(space->d(), 0),
+      acc_(space->task().agg.ops->Init()),
+      pred_state_(acc_) {
+  if (order != SearchOrder::kBfs) explorer_.emplace(space, layer, budget_);
+}
 
 BatchExplorer::~BatchExplorer() { Finish(); }
 
 void BatchExplorer::Finish() {
   if (!prefetch_.valid()) return;
-  // Helping join (see NextLayer): the caller may run on a pool worker
-  // whose prefetch task is still queued behind other work. The future's
-  // get() invalidates it, so a second Finish is a no-op.
+  // ReclaimPrefetch leaves prefetch_ invalid, so a second Finish is a no-op.
   try {
-    ThreadPool::Shared().HelpWhileWaiting(prefetch_);
+    ReclaimPrefetch();
   } catch (...) {
     // Generator failures surface through NextLayer, never from here.
   }
+}
+
+bool BatchExplorer::ReclaimPrefetch() {
+  // Whoever flips the flag first runs the generation. A task still queued
+  // is taken back and becomes a no-op that never touches this explorer. A
+  // task already running needs nothing from the pool to finish, so a plain
+  // wait cannot deadlock, and the caller never runs another session's
+  // queued work while it holds its own catalog lock.
+  const bool reclaimed = !prefetch_claimed_->exchange(true);
+  std::future<void> prefetch = std::move(prefetch_);
+  if (!reclaimed) prefetch.get();
+  return reclaimed;
 }
 
 void BatchExplorer::GenerateLayer() {
@@ -396,9 +445,10 @@ void BatchExplorer::GenerateLayer() {
     // handed over as-is (still valid coordinates of this score). The
     // lookahead coordinate was just placed into the layer, so the primed
     // invariant (lookahead_ holds a fetched-but-unplaced coordinate) no
-    // longer holds -- if a later call generates another layer before the
-    // driver's own (strided) poll stops the search, it must re-prime from
-    // the generator instead of replaying the consumed lookahead.
+    // longer holds -- the prefetch started when this layer is handed out
+    // generates again before the driver's poll stops the search, and it
+    // must re-prime from the generator instead of replaying the consumed
+    // lookahead.
     if (ctx_ != nullptr && (n & 0xFF) == 0 && ctx_->ShouldStop()) {
       primed_ = false;
       break;
@@ -425,19 +475,19 @@ void BatchExplorer::StartPrefetch() {
   constexpr size_t kMinPrefetchLayer = 4;
   ThreadPool& pool = ThreadPool::Shared();
   if (pool.num_threads() > 1 && layer_coords_.size() >= kMinPrefetchLayer) {
-    prefetch_ = pool.Submit([this] { GenerateLayer(); });
+    prefetch_claimed_ = std::make_shared<std::atomic<bool>>(false);
+    prefetch_ = pool.Submit([this, claimed = prefetch_claimed_] {
+      if (!claimed->exchange(true)) GenerateLayer();
+    });
   }
 }
 
 bool BatchExplorer::NextLayer() {
-  if (prefetch_.valid()) {
-    // Hand-over: next_* written before this join. The helping join keeps
-    // the wait deadlock-free when this run itself occupies a pool worker
-    // (the server schedules whole runs onto the shared pool).
-    ThreadPool::Shared().HelpWhileWaiting(prefetch_);
-  } else {
-    GenerateLayer();  // first layer (or single-core pool): inline
-  }
+  placed_ = false;
+  // Hand-over: a prefetch that a worker ran wrote next_* before the join;
+  // the first layer, a single-core pool and a prefetch that had not
+  // started yet generate inline.
+  if (!prefetch_.valid() || ReclaimPrefetch()) GenerateLayer();
   if (!next_valid_) return false;
   layer_coords_.swap(next_coords_);
   layer_score_ = next_score_;
@@ -449,6 +499,7 @@ bool BatchExplorer::NextLayer() {
 }
 
 Status BatchExplorer::ExecuteLayer() {
+  if (!explorer_) return ExecuteLayerPositional();
   Stopwatch sw;
   // The store only ever holds handed-out coordinates (predecessor fills
   // resolve within the layers drained so far), so when its size equals the
@@ -458,39 +509,129 @@ Status BatchExplorer::ExecuteLayer() {
   // the per-coordinate filter, keeping "at most one execution per
   // coordinate" unconditional.
   const std::vector<GridCoord>* coords = &layer_coords_;
-  const bool in_sync = explorer_.store().size() == drained_total_;
+  const bool in_sync = explorer_->store().size() == drained_total_;
   if (!in_sync) {
     batch_.clear();
     for (const GridCoord& c : layer_coords_) {
-      if (!explorer_.IsStored(c)) batch_.push_back(c);
+      if (!explorer_->IsStored(c)) batch_.push_back(c);
     }
     coords = &batch_;
   }
-  // In sync, store entries [drained_total_ - prev_layer_size_,
-  // drained_total_) are exactly the previous layer in drain order — arm
-  // the explorer's sequential predecessor cursors over that range. Shell
-  // layers arm the growing-region shell cursors instead: their same-shell
-  // predecessors live in the current layer's inserts, not the previous
-  // layer's.
-  if (in_sync && shell_hint_) {
-    explorer_.BeginShellDrain(drained_total_);
-  } else if (in_sync) {
-    explorer_.BeginLayerDrain(drained_total_ - prev_layer_size_,
-                              drained_total_);
+  // A shell layer's same-shell predecessors are the current layer's own
+  // inserts, which start at store entry drained_total_ when in sync.
+  if (in_sync && shell_) {
+    explorer_->BeginShellDrain(drained_total_);
   } else {
-    explorer_.BeginLayerDrain(0, 0);
+    explorer_->EndShellDrain();
   }
-  prev_layer_size_ = layer_coords_.size();
   drained_total_ += layer_coords_.size();
-  explorer_.ReserveAdditional(coords->size());
+  explorer_->ReserveAdditional(coords->size());
   if (!coords->empty()) {
     ACQ_ASSIGN_OR_RETURN(
         std::vector<AggregateOps::State> states,
         layer_->EvaluateCells(coords->data(), coords->size(), space_->step()));
-    explorer_.SeedCellStates(*coords, std::move(states));
+    explorer_->SeedCellStates(*coords, std::move(states));
   }
   batch_ms_ += sw.ElapsedMillis();
   return Status::OK();
+}
+
+Status BatchExplorer::ExecuteLayerPositional() {
+  Stopwatch sw;
+  const int64_t level = static_cast<int64_t>(layer_score_);
+  const size_t n = layer_coords_.size();
+  // The merges of layer l read all of layer l - 1. A truncated layer ends
+  // the run (the context keeps reporting the interruption), so its rest
+  // never arrives here.
+  if (merged_ != executed_ || level != level_ + 1 ||
+      executed_ != rank_.LayerSize(level_)) {
+    return Status::Internal(
+        "positional Explore store: each BFS layer must be executed once and "
+        "all its aggregates computed, in order");
+  }
+  rank_.Extend(level);
+  // Layer level - 2 is never read again; its buffer takes layer level.
+  prev_.swap(cur_);
+  cur_.clear();
+  cur_.resize(rank_.LayerSize(level) * block_width_);
+  level_ = level;
+  executed_ = merged_ = 0;
+  ChargeGrowth();
+  // Generation order is the rank order; a drift would silently misplace
+  // every state, so the ends of the layer (or of its truncated prefix) are
+  // checked.
+  if (n > rank_.LayerSize(level) ||
+      rank_.Rank(layer_coords_.front().data(), level) != 0 ||
+      rank_.Rank(layer_coords_.back().data(), level) != n - 1) {
+    return Status::Internal(
+        "positional Explore store: layer order differs from its rank order");
+  }
+  ACQ_ASSIGN_OR_RETURN(
+      std::vector<AggregateOps::State> states,
+      layer_->EvaluateCells(layer_coords_.data(), n, space_->step()));
+  const size_t w = block_width_ / (space_->d() + 1);
+  for (size_t q = 0; q < n; ++q) {
+    if (states[q].size() != w) {
+      return Status::Internal("aggregate state width differs from ops.Init()");
+    }
+    double* slot = cur_.data() + q * block_width_;
+    for (size_t k = 0; k < w; ++k) slot[k] = states[q][k];
+  }
+  executed_ += n;
+  cell_queries_ += n;
+  placed_ = true;
+  batch_ms_ += sw.ElapsedMillis();
+  return Status::OK();
+}
+
+void BatchExplorer::ChargeGrowth() {
+  const size_t bytes = (prev_.capacity() + cur_.capacity()) * sizeof(double) +
+                       rank_.MemoryBytes();
+  if (bytes <= peak_bytes_) return;
+  const size_t delta = bytes - peak_bytes_;
+  peak_bytes_ = bytes;
+  if (budget_ == nullptr) return;
+  budget_->Charge(delta);
+  // Injected allocation failure on the growth path, as in AggregateStore.
+  if (ACQ_FAILPOINT("explore.arena_grow")) budget_->MarkExhausted();
+}
+
+void BatchExplorer::MergePosition(size_t pos, const int32_t* coord) {
+  const size_t d = space_->d();
+  const size_t w = block_width_ / (d + 1);
+  const AggregateOps& ops = *space_->task().agg.ops;
+  double* block = cur_.data() + pos * block_width_;
+  rank_.PredecessorRanks(coord, level_, pred_rank_.data());
+  // The fold of Explorer::EnsureComputed, state by state: O_{i+1} starts
+  // as O_i and absorbs the predecessor's O_{i+1} (none where u_i == 0).
+  // States are a few doubles, so element loops copy them: assign/copy
+  // would call memmove ten times per coordinate at d = 4.
+  for (size_t k = 0; k < w; ++k) acc_[k] = block[k];
+  for (size_t i = 1; i <= d; ++i) {
+    if (coord[i - 1] > 0) {
+      const double* pred =
+          prev_.data() + pred_rank_[i - 1] * block_width_ + i * w;
+      for (size_t k = 0; k < w; ++k) pred_state_[k] = pred[k];
+      ops.Merge(&acc_, pred_state_);
+    }
+    for (size_t k = 0; k < w; ++k) block[i * w + k] = acc_[k];
+  }
+}
+
+Result<double> BatchExplorer::ComputeAggregate(size_t q) {
+  if (explorer_) return explorer_->ComputeAggregate(layer_coords_[q]);
+  if (!placed_ || q >= layer_coords_.size()) {
+    return Status::Internal(
+        "positional Explore store: aggregate requested before ExecuteLayer");
+  }
+  for (; merged_ <= q; ++merged_) {
+    MergePosition(merged_, layer_coords_[merged_].data());
+  }
+  // O_{d+1} is the whole refined query (Eq. 8).
+  const size_t w = block_width_ / (space_->d() + 1);
+  const double* whole = cur_.data() + q * block_width_ + block_width_ - w;
+  for (size_t k = 0; k < w; ++k) pred_state_[k] = whole[k];
+  return space_->task().agg.ops->Final(pred_state_);
 }
 
 }  // namespace acquire

@@ -1,8 +1,12 @@
 #ifndef ACQUIRE_CORE_EXPLORE_H_
 #define ACQUIRE_CORE_EXPLORE_H_
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <future>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/expand.h"
@@ -17,13 +21,16 @@ namespace acquire {
 /// Only aggregate states are retained, never result tuples, exactly as in
 /// Section 5.1.1.
 ///
+/// This is the hash-addressed store of the sequential Explorer and of the
+/// batched shell and best-first drains; batched BFS drains address their
+/// states by position instead (BatchExplorer, LayerRank).
+///
 /// Layout: an open-addressed (linear probing, power-of-two) slot table maps
 /// a coordinate to an entry index; entry e's key lives at keys_[e*d..] and
 /// its d+1 fixed-width sub-aggregate states live contiguously at
 /// arena_[e*block_width..] — one flat double array for the whole store, so
 /// inserting a coordinate allocates nothing beyond the amortized geometric
-/// growth of three flat vectors (the previous map-of-vectors cost one node
-/// plus d+2 vector allocations per coordinate).
+/// growth of three flat vectors.
 class AggregateStore {
  public:
   /// Must be called before any Insert/Find. `state_width` is the fixed
@@ -106,6 +113,62 @@ class AggregateStore {
   size_t charged_bytes_ = 0;        // capacity bytes already charged
 };
 
+/// Position of a grid coordinate within its BFS layer. Under BFS/L1 order
+/// layer l is the set of in-cap d-vectors u (0 <= u_k <= cap_k) that sum
+/// to l, and BfsGenerator emits it in lexicographically descending order.
+/// With N_k(s) the number of in-cap completions of dimensions k..d-1 that
+/// sum to s, the rank of u — the number of layer members that order above
+/// it — is
+///
+///   rank(u) = sum_k sum_{t = u_k + 1}^{min(cap_k, r_k)} N_{k+1}(r_k - t),
+///   r_k = l - (u_0 + ... + u_{k-1}),
+///
+/// and each inner sum is a difference of two prefix sums of N_{k+1}, so a
+/// rank costs O(d) table reads. The table holds those prefix sums for the
+/// layers reached so far and grows by d+1 entries per layer. Every count
+/// it holds is bounded by the number of coordinates in layers 0..l, all of
+/// which the search has generated, so 64 bits never overflow.
+class LayerRank {
+ public:
+  explicit LayerRank(std::vector<int32_t> caps);
+
+  /// Extends the table through layer `level`. Needed before LayerSize,
+  /// Rank or PredecessorRanks touch that layer.
+  void Extend(int64_t level);
+
+  /// Number of coordinates in layer `level` (0 past the grid's far corner).
+  uint64_t LayerSize(int64_t level) const;
+
+  /// Rank of `coord` (in cap, summing to `level`) within its layer.
+  uint64_t Rank(const int32_t* coord, int64_t level) const;
+
+  /// out[j] = the rank of coord - e_j within layer level - 1, for every j
+  /// with coord[j] > 0 (out[j] is left untouched where coord[j] == 0). All
+  /// d predecessors share their prefix and suffix terms, so this is O(d)
+  /// in total rather than O(d) per predecessor.
+  void PredecessorRanks(const int32_t* coord, int64_t level, uint64_t* out);
+
+  size_t MemoryBytes() const { return table_.capacity() * sizeof(uint64_t); }
+
+ private:
+  /// Prefix count S_k(s) = N_k(0) + ... + N_k(s); 0 for s < 0.
+  uint64_t Prefix(size_t k, int64_t s) const {
+    return s < 0 ? 0 : table_[static_cast<size_t>(s) * (d_ + 1) + k];
+  }
+  /// The rank term of dimension k: how many in-cap completions put a value
+  /// above `x` at k when dimensions k.. must sum to `rem`.
+  uint64_t Term(size_t k, int64_t rem, int64_t x) const {
+    const int64_t top = std::min<int64_t>(caps_[k], rem);
+    return Prefix(k + 1, rem - x - 1) - Prefix(k + 1, rem - top - 1);
+  }
+
+  std::vector<int32_t> caps_;
+  size_t d_;
+  int64_t levels_ = 0;            // layers 0..levels_-1 are covered
+  std::vector<uint64_t> table_;   // S_k(s) at [s * (d + 1) + k], k = 0..d
+  std::vector<uint64_t> suffix_;  // PredecessorRanks scratch
+};
+
 /// The Explore phase (Section 5): Incremental Aggregate Computation.
 ///
 /// For each grid query only the cell sub-query O_1 is executed against the
@@ -153,19 +216,7 @@ class Explorer {
     store_.Reserve(store_.size() + additional);
   }
 
-  /// Arms the layer-drain predecessor fast path: the coordinates about to
-  /// be investigated form one equi-score layer whose Eq. 17 predecessors
-  /// all live in store entries [lo, hi) (the previous layer). In a BFS
-  /// drain both the layer and, per dimension j, its predecessor sequence
-  /// u - e_j descend lexicographically, so d forward cursors over that
-  /// contiguous entry range resolve predecessors with short sequential
-  /// scans of warm memory instead of random hash probes. Any miss falls
-  /// back to the hash table, so shell/best-first orders (and predecessor
-  /// fills) stay correct — the cursors are a locality hint, never an
-  /// authority. Pass lo == hi to disarm. Disarms any shell drain.
-  void BeginLayerDrain(size_t lo, size_t hi);
-
-  /// Arms the shell-order predecessor fast path instead: the layer being
+  /// Arms the shell-order predecessor fast path: the layer being
   /// investigated is one L-inf shell whose same-shell predecessors live in
   /// the store region [lo, size()) that grows as the drain inserts. The
   /// shell generator emits pinned groups in descending pinned order (see
@@ -175,8 +226,9 @@ class Explorer {
   /// group restart is detected from the inserts themselves (a key ordering
   /// below its predecessor entry) and re-bases the cursors. Cross-group and
   /// previous-shell predecessors fall back to the hash table — the cursors
-  /// only ever answer exact matches. Disarms any BFS layer drain.
+  /// only ever answer exact matches.
   void BeginShellDrain(size_t lo);
+  void EndShellDrain() { shell_drain_ = false; }
 
   /// Number of cell queries actually executed (== store().size() plus any
   /// seeded-but-not-yet-consumed batch states).
@@ -197,12 +249,7 @@ class Explorer {
   bool TakeSeed(const GridCoord& coord, AggregateOps::State* out);
   void BuildSeedIndex();
 
-  /// Looks for `key` at or after pred_cursor_[j] within the armed entry
-  /// range, advancing the cursor past entries that order above the key.
-  /// nullptr on a miss (caller falls back to store_.Find).
-  const double* FindPredInRange(size_t j, const int32_t* key);
-
-  /// Shell-drain counterpart: looks for `key` at or after
+  /// Shell-drain predecessor lookup: looks for `key` at or after
   /// shell_cursor_[j] within the current pinned group's stored entries
   /// (ascending), skipping lex-smaller entries for good. nullptr on a miss.
   const double* FindShellPred(size_t j, const int32_t* key);
@@ -223,10 +270,6 @@ class Explorer {
   std::vector<uint32_t> seed_slots_;  // seed index + 1; 0 = empty
   size_t seed_cursor_ = 0;            // first possibly-unconsumed seed
   bool seed_index_built_ = false;     // seed_slots_ populated (lazy)
-  // Layer-drain predecessor cursors (see BeginLayerDrain).
-  size_t pred_lo_ = 0;
-  size_t pred_hi_ = 0;
-  std::vector<size_t> pred_cursor_;  // per dimension, in [pred_lo_, pred_hi_]
   // Shell-drain predecessor cursors (see BeginShellDrain).
   bool shell_drain_ = false;
   size_t shell_lo_ = 0;        // first entry of the current shell
@@ -251,6 +294,17 @@ class Explorer {
 /// one-coordinate-at-a-time Explorer (Theorem 3's ordering is preserved;
 /// only O_1 executions are reordered, and those are independent).
 ///
+/// Store. In BFS order the states live in a positional layer store:
+/// layer l's (d+1)-state blocks sit in one flat array indexed by LayerRank,
+/// which equals the coordinate's position in the generator's layer. The
+/// batch's O_1 states land directly in their slots, the predecessor
+/// u - e_j is a computed rank into layer l-1, and Eq. 17 becomes d indexed
+/// reads. Only layers l-1 and l are kept: nothing reads older states
+/// (overshoot repartitioning evaluates its own boxes, and answers carry
+/// their coordinates). Shell and best-first orders use the hash-addressed
+/// Explorer instead — a positional key for them would need far more slots
+/// than coordinates.
+///
 /// NextLayer additionally pipelines the generator: after handing out layer
 /// k it prefetches layer k+1 on the shared pool, so Expand runs concurrently
 /// with the caller's evaluation/merge/investigation of layer k. The
@@ -262,11 +316,15 @@ class BatchExplorer {
   /// `ctx` (optional, not owned) lets a huge layer generation stop early:
   /// GenerateLayer polls it every few hundred coordinates and truncates the
   /// layer, so a cancelled run is not stuck expanding a d-dimensional layer
-  /// to completion first. The driver re-polls before consuming the layer,
-  /// so a truncated layer is never mistaken for a complete one on an
-  /// uninterrupted run (ctx == nullptr is byte-identical behavior).
+  /// to completion first. A truncated layer is a prefix of the full one; the
+  /// context keeps answering ShouldStop() from then on, so the driver stops
+  /// before asking for more. The context's budget also meters the store
+  /// (ctx == nullptr: untracked). `order` is the order `generator` emits in
+  /// (kAuto resolved): kBfs selects the positional store, kShell arms the
+  /// shell drain on in-sync layers.
   BatchExplorer(const RefinedSpace* space, EvaluationLayer* layer,
-                QueryGenerator* generator, RunContext* ctx = nullptr);
+                QueryGenerator* generator, SearchOrder order,
+                RunContext* ctx = nullptr);
 
   /// Joins an in-flight layer prefetch (Finish).
   ~BatchExplorer();
@@ -286,15 +344,28 @@ class BatchExplorer {
   const std::vector<GridCoord>& layer() const { return layer_coords_; }
 
   /// Executes the cell sub-queries of every not-yet-investigated
-  /// coordinate of the current layer in one batch and seeds the explorer.
+  /// coordinate of the current layer in one batch and stores their states.
+  /// The positional store takes each BFS layer once, in order, after every
+  /// aggregate of the previous one was computed; anything else (such as the
+  /// rest of a truncated layer) is an Internal error.
   Status ExecuteLayer();
 
-  /// Tells ExecuteLayer which predecessor fast path to arm on in-sync
-  /// layers: the shell drain (BeginShellDrain) instead of the descending
-  /// BFS window. Set once by the driver for shell search order.
-  void set_shell_drain_hint(bool shell) { shell_hint_ = shell; }
+  /// Final aggregate of layer()[q] (Algorithm 3), after ExecuteLayer. The
+  /// positional store merges the layer's coordinates in generation order
+  /// up to q on the first request, so asking in order costs one merge each.
+  Result<double> ComputeAggregate(size_t q);
 
-  Explorer& explorer() { return explorer_; }
+  /// Cell queries executed so far.
+  uint64_t cell_queries() const {
+    return explorer_ ? explorer_->cell_queries() : cell_queries_;
+  }
+
+  /// Largest store footprint of the run so far, in bytes (capacity): the
+  /// two retained layers plus the rank table on the positional path, the
+  /// hash store on the others.
+  size_t store_peak_bytes() const {
+    return explorer_ ? explorer_->store().MemoryBytes() : peak_bytes_;
+  }
 
   /// Joins the in-flight layer prefetch, if any. A driver that stops
   /// before the generator is exhausted (satisfied, STOP, deadline, budget)
@@ -315,12 +386,29 @@ class BatchExplorer {
   /// inline (first layer) or on a pool worker; never both at once.
   void GenerateLayer();
   void StartPrefetch();
+  /// Joins the prefetch: true when it had not started (it never will, and
+  /// the caller generates inline), false after waiting for the worker that
+  /// ran it. Leaves prefetch_ invalid.
+  bool ReclaimPrefetch();
+
+  /// Positional ExecuteLayer: places the handed-out layer at its layer
+  /// positions and fills their O_1 slots from one EvaluateCells batch.
+  Status ExecuteLayerPositional();
+  /// Eq. 17 for layer position `pos` (coordinate `coord`): O_1 from its
+  /// slot, O_{i+1} = O_i merged with O_{i+1} of the predecessor along
+  /// dimension i, read from layer l-1 at its computed rank.
+  void MergePosition(size_t pos, const int32_t* coord);
+  /// Charges store growth past the high-water mark against the budget.
+  void ChargeGrowth();
 
   const RefinedSpace* space_;
   EvaluationLayer* layer_;
   QueryGenerator* generator_;
   RunContext* ctx_;
-  Explorer explorer_;
+  const bool shell_;   // arm the shell drain on in-sync layers
+  // Hash-addressed store (shell, best-first); empty in BFS order, which
+  // uses the positional store below.
+  std::optional<Explorer> explorer_;
   std::vector<GridCoord> layer_coords_;
   double layer_score_ = 0.0;
   // Generator cursor and the prefetched layer. Owned by the prefetch task
@@ -333,12 +421,27 @@ class BatchExplorer {
   double next_score_ = 0.0;
   bool next_valid_ = false;
   std::future<void> prefetch_;
+  std::shared_ptr<std::atomic<bool>> prefetch_claimed_;  // set by its runner
   std::vector<GridCoord> batch_;  // scratch: coords needing execution
   size_t drained_total_ = 0;      // coords handed out in previous layers
-  size_t prev_layer_size_ = 0;    // size of the layer drained before this one
-  bool shell_hint_ = false;       // arm the shell drain on in-sync layers
   double expand_ms_ = 0.0;
   double batch_ms_ = 0.0;
+
+  // Positional layer store (BFS order only; see the class comment).
+  LayerRank rank_;
+  size_t block_width_ = 0;        // (d + 1) * state width
+  std::vector<double> prev_;      // layer level_ - 1, block per position
+  std::vector<double> cur_;       // layer level_, block per position
+  int64_t level_ = -1;            // layer held in cur_
+  size_t executed_ = 0;           // cur_ positions with their O_1 slot
+  size_t merged_ = 0;             // cur_ positions merged (a prefix)
+  bool placed_ = false;           // layer() has its O_1 slots in cur_
+  uint64_t cell_queries_ = 0;
+  size_t peak_bytes_ = 0;         // high-water footprint, charged as it grows
+  MemoryBudget* budget_;          // not owned; nullptr = untracked
+  std::vector<uint64_t> pred_rank_;
+  AggregateOps::State acc_;       // O_i of the position being merged
+  AggregateOps::State pred_state_;
 };
 
 }  // namespace acquire

@@ -92,6 +92,7 @@ class RunContext {
   void set_deadline(Clock::time_point deadline) {
     deadline_ = deadline;
     has_deadline_ = true;
+    deadline_passed_.store(false, std::memory_order_relaxed);
   }
 
   /// Convenience: deadline = now + `ms` (non-positive arms an
@@ -126,19 +127,25 @@ class RunContext {
   /// The driver's fast poll: the cancellation flag is read every call, the
   /// clock only every kDeadlineStride calls (a steady_clock read costs an
   /// order of magnitude more than a relaxed load, and sequential Explore
-  /// polls per coordinate). Safe to call from the run thread and its layer
-  /// prefetch worker concurrently.
+  /// polls per coordinate). Once a clock read finds the deadline passed,
+  /// every later poll answers true, like the cancel flags and the budget:
+  /// a layer generation that stopped on the deadline must not be followed
+  /// by a driver poll that says "keep going". Safe to call from the run
+  /// thread and its layer prefetch worker concurrently.
   bool ShouldStop() {
     if (cancel_requested()) return true;
     if (client_stop_requested()) return true;
     if (budget_.exhausted()) return true;
     if (!has_deadline_) return false;
+    if (deadline_passed_.load(std::memory_order_relaxed)) return true;
     if (poll_count_.fetch_add(1, std::memory_order_relaxed) %
             kDeadlineStride !=
         0) {
       return false;
     }
-    return Clock::now() >= deadline_;
+    if (Clock::now() < deadline_) return false;
+    deadline_passed_.store(true, std::memory_order_relaxed);
+    return true;
   }
 
   /// Definitive classification for the result: cancellation wins over the
@@ -221,6 +228,7 @@ class RunContext {
   bool has_deadline_ = false;
   Clock::time_point deadline_{};
   std::atomic<uint64_t> poll_count_{0};
+  std::atomic<bool> deadline_passed_{false};  // a poll saw the deadline
   MemoryBudget budget_;
 
   ProgressSink progress_sink_;

@@ -102,6 +102,12 @@ class EvaluationLayer {
     double explore_ms = 0.0;
     double merge_ms = 0.0;
 
+    /// Peak bytes (capacity) of the Explore phase's aggregate-state store,
+    /// filled by RunAcquire: the hash store for the sequential explorer and
+    /// the batched shell and best-first drains, the two retained layers plus
+    /// the rank table for batched BFS drains. 0 when nothing was stored.
+    uint64_t store_peak_bytes = 0;
+
     /// Index build cost, filled by the layer itself: wall time spent inside
     /// Prepare() (0 for layers with a no-op Prepare), rows currently staged
     /// in the incremental-maintenance delta buffer, and how many times the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <exception>
 #include <memory>
@@ -133,31 +132,6 @@ std::future<void> ThreadPool::Submit(std::function<void()> task) {
   }
   work_cv_.notify_one();
   return future;
-}
-
-void ThreadPool::HelpWhileWaiting(std::future<void>& future) {
-  for (;;) {
-    if (future.wait_for(std::chrono::seconds(0)) ==
-        std::future_status::ready) {
-      break;
-    }
-    std::function<void()> task;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!queue_.empty()) {
-        task = std::move(queue_.front());
-        queue_.pop_front();
-      }
-    }
-    if (task) {
-      task();
-    } else {
-      // Queue drained: the awaited task is running elsewhere. Bounded wait
-      // so a task enqueued meanwhile is picked up promptly.
-      future.wait_for(std::chrono::milliseconds(1));
-    }
-  }
-  future.get();
 }
 
 ThreadPool& ThreadPool::Shared() {

@@ -55,16 +55,6 @@ class ThreadPool {
   /// batched explorer prefetching the next expand layer).
   std::future<void> Submit(std::function<void()> task);
 
-  /// Deadlock-safe join for code that may itself be running on a pool
-  /// worker (the ACQ server schedules whole runs onto this pool, and a run
-  /// blocks on its layer-prefetch future): while `future` is not ready, the
-  /// calling thread drains queued tasks instead of sleeping, so a future
-  /// whose task is still queued behind other submissions cannot wait on a
-  /// worker that is itself waiting. Once the queue is empty the wait
-  /// degrades to a plain timed wait (the task is running on another
-  /// thread). Rethrows the task's exception like future.get().
-  void HelpWhileWaiting(std::future<void>& future);
-
   /// Process-wide default pool (hardware-sized, created on first use and
   /// intentionally never destroyed so late static destructors can use it).
   /// The ACQUIRE_POOL_THREADS environment variable overrides the size

@@ -649,9 +649,13 @@ JsonValue AcqServer::HandleSubmit(const JsonValue& request,
     progress_opt.enabled = true;
     progress_opt.interval_ms = interval_ms;
     // Runs on the run thread between layers. The frame's governor snapshot
-    // is the tenant's own admission state; the shared_ptr capture keeps the
-    // tenant alive even if it is detached mid-run.
-    progress_opt.callback = [this, sink, tenant = *tenant](
+    // is the tenant's own admission state. The tenant is captured without
+    // ownership: the finished session keeps this callback for STATUS, and
+    // an owning capture would close the cycle tenant -> manager -> session
+    // -> callback -> tenant. The pointer outlives every call because this
+    // handler holds its TenantPtr through WaitDone below, and DETACH drains
+    // the tenant's runs before it lets go of the tenant.
+    progress_opt.callback = [this, sink, tenant = tenant->get()](
                                 const Session& session,
                                 const ProgressSnapshot& snap) {
       if (ACQ_FAILPOINT("server.progress_emit")) {

@@ -6,6 +6,7 @@
 // in the same order either way — so even SUM/AVG must match exactly.
 
 #include <gtest/gtest.h>
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -269,6 +270,166 @@ TEST(BatchExploreTest, PhaseTimingsAreReported) {
             0.0);  // monotonic stopwatch can never go negative
 }
 
+// A batched BFS drain keeps only layers l-1 and l, addressed by rank: its
+// store peaks at the two largest layers' blocks plus the rank table, far
+// below the sequential explorer's hash store, which keeps every state of
+// the run. The other store paths report their peak too.
+TEST(BatchExploreTest, BfsStorePeaksAtTwoLayersPlusRankTable) {
+  SyntheticOptions topt;
+  topt.d = 4;
+  topt.rows = 2000;
+  topt.op = ConstraintOp::kGe;
+  topt.target = 1900.0;  // deep: nearly the whole table must be covered
+  auto fixture = MakeSyntheticTask(topt);
+  ASSERT_NE(fixture, nullptr);
+  AcquireOptions options;
+  options.gamma = 120.0;  // step 30: a 9^4 grid, 33 layers
+  options.order = SearchOrder::kBfs;
+  CachedEvaluationLayer layer(&fixture->task);
+  options.batch_explore = BatchExplore::kOff;
+  auto seq = RunAcquire(fixture->task, &layer, options);
+  options.batch_explore = BatchExplore::kOn;
+  auto bat = RunAcquire(fixture->task, &layer, options);
+  ASSERT_TRUE(seq.ok() && bat.ok());
+  ASSERT_EQ(seq->queries_explored, bat->queries_explored);
+
+  // Layer sizes of every layer the run reached, the last one in full.
+  RefinedSpace space(&fixture->task, options.gamma, options.norm);
+  BfsGenerator gen(&space);
+  GridCoord coord;
+  std::vector<uint64_t> sizes;
+  uint64_t drained = 0;
+  while (gen.Next(&coord)) {
+    const size_t level = static_cast<size_t>(gen.CurrentScore());
+    if (drained >= bat->queries_explored && level >= sizes.size()) break;
+    if (level >= sizes.size()) sizes.push_back(0);
+    ++sizes[level];
+    ++drained;
+  }
+  ASSERT_GE(sizes.size(), 10u) << "the run should span many layers";
+  std::vector<int32_t> caps;
+  for (size_t i = 0; i < space.d(); ++i) caps.push_back(space.MaxLevel(i));
+  LayerRank rank(caps);
+  rank.Extend(static_cast<int64_t>(sizes.size()) - 1);
+  std::vector<uint64_t> sorted = sizes;
+  std::sort(sorted.rbegin(), sorted.rend());
+  const uint64_t block_bytes =
+      (space.d() + 1) * fixture->task.agg.ops->Init().size() * sizeof(double);
+  const uint64_t peak = bat->exec_stats.store_peak_bytes;
+  EXPECT_GE(peak, sorted[0] * block_bytes);
+  EXPECT_LE(peak, (sorted[0] + sorted[1]) * block_bytes + rank.MemoryBytes());
+  EXPECT_LT(peak * 4, seq->exec_stats.store_peak_bytes);
+
+  for (SearchOrder order : {SearchOrder::kShell, SearchOrder::kBestFirst}) {
+    options.order = order;
+    auto other = RunAcquire(fixture->task, &layer, options);
+    ASSERT_TRUE(other.ok());
+    EXPECT_GT(other->exec_stats.store_peak_bytes, 0u) << OrderName(order);
+  }
+}
+
+// BFS generator that requests cancellation of `ctx` when it emits the
+// second coordinate of layer `level`, that is, while that layer is being
+// generated (its first coordinate is the previous layer's lookahead). It
+// first waits for `armed`, so a prefetch cannot cancel before the driver's
+// poll that precedes the layer.
+class CancellingGenerator final : public QueryGenerator {
+ public:
+  CancellingGenerator(const RefinedSpace* space, RunContext* ctx,
+                      int64_t level)
+      : inner_(space), ctx_(ctx), level_(level) {}
+
+  bool Next(GridCoord* out) override {
+    if (!inner_.Next(out)) return false;
+    int64_t sum = 0;
+    for (int32_t c : *out) sum += c;
+    if (sum == level_ && ++seen_ == 2) {
+      while (!armed.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      ctx_->RequestCancel();
+    }
+    return true;
+  }
+  double CurrentScore() const override { return inner_.CurrentScore(); }
+
+  std::atomic<bool> armed{false};
+
+ private:
+  BfsGenerator inner_;
+  RunContext* ctx_;
+  int64_t level_;
+  int seen_ = 0;
+};
+
+// A layer generation that observes an interruption hands out a prefix of
+// its layer, and the context keeps reporting the interruption, so the
+// driver's next poll ends the run. The positional store places the prefix
+// at its layer positions (every aggregate matches the sequential explorer
+// bit for bit) and refuses the rest of the layer.
+TEST(BatchExploreTest, TruncatedBfsLayerEndsTheRun) {
+  SyntheticOptions topt;
+  topt.d = 4;
+  topt.rows = 2000;
+  topt.agg = AggregateKind::kSum;
+  auto fixture = MakeSyntheticTask(topt);
+  ASSERT_NE(fixture, nullptr);
+  RefinedSpace space(&fixture->task, 12.0, Norm::L1());
+  CachedEvaluationLayer layer(&fixture->task);
+  ASSERT_TRUE(layer.Prepare().ok());
+  Explorer reference(&space, &layer);
+
+  // The first layer long enough that GenerateLayer, polling every 256
+  // coordinates, cuts it short.
+  std::vector<int32_t> caps;
+  for (size_t i = 0; i < space.d(); ++i) caps.push_back(space.MaxLevel(i));
+  LayerRank rank(caps);
+  int64_t level = 0;
+  rank.Extend(level);
+  while (rank.LayerSize(level) <= 600) {
+    ASSERT_LT(level, 100) << "no layer holds more than 600 coordinates";
+    rank.Extend(++level);
+  }
+
+  RunContext ctx;
+  CancellingGenerator generator(&space, &ctx, level);
+  BatchExplorer batch(&space, &layer, &generator, SearchOrder::kBfs, &ctx);
+  // Arms the generator before `batch` joins its prefetch on an early
+  // assertion exit, so the join cannot wait forever.
+  struct ArmOnExit {
+    std::atomic<bool>* armed;
+    ~ArmOnExit() { *armed = true; }
+  } arm_on_exit{&generator.armed};
+  double last_score = -1.0;
+  size_t explored = 0;
+  // The driver's poll precedes each NextLayer.
+  while (!ctx.ShouldStop()) {
+    if (last_score == static_cast<double>(level - 1)) generator.armed = true;
+    if (!batch.NextLayer()) break;
+    ASSERT_NE(batch.layer_score(), last_score) << "a layer arrived twice";
+    last_score = batch.layer_score();
+    ASSERT_TRUE(batch.ExecuteLayer().ok());
+    for (size_t q = 0; q < batch.layer().size(); ++q, ++explored) {
+      Result<double> got = batch.ComputeAggregate(q);
+      Result<double> want = reference.ComputeAggregate(batch.layer()[q]);
+      ASSERT_TRUE(got.ok() && want.ok());
+      ASSERT_EQ(*got, *want) << "layer " << last_score << " position " << q;
+    }
+  }
+  ASSERT_TRUE(ctx.ShouldStop()) << "the space ran out before the stop";
+  EXPECT_EQ(last_score, static_cast<double>(level));
+  EXPECT_LT(batch.layer().size(), rank.LayerSize(level))
+      << "the layer was not truncated";
+  EXPECT_EQ(batch.cell_queries(), explored);
+
+  // A driver that ignored the stop would get the rest of the layer, which
+  // the store refuses.
+  ASSERT_TRUE(batch.NextLayer());
+  EXPECT_EQ(batch.layer_score(), last_score);
+  EXPECT_EQ(batch.ExecuteLayer().code(), StatusCode::kInternal);
+  batch.Finish();
+}
+
 // BFS generator that parks the first call reaching layer 4 until released,
 // so the prefetch generating layer 3 is provably still running.
 class ParkingGenerator final : public QueryGenerator {
@@ -312,7 +473,7 @@ TEST(BatchExploreTest, FinishJoinsInFlightPrefetchBeforeStatsRead) {
   CachedEvaluationLayer layer(&fixture->task);
   ParkingGenerator generator(&space);
   RunContext ctx;
-  BatchExplorer batch(&space, &layer, &generator, &ctx);
+  BatchExplorer batch(&space, &layer, &generator, SearchOrder::kBfs, &ctx);
 
   // BFS layers 0..2 hold 1, 3 and 6 coordinates; handing out layer 2 starts
   // the prefetch of layer 3, which parks on its lookahead into layer 4.

@@ -82,6 +82,21 @@ TEST(RunContextTest, ExpiredDeadlineStops) {
   EXPECT_EQ(ctx.Interruption(), RunTermination::kDeadlineExceeded);
 }
 
+// The clock is read on one poll in 32, but once a read finds the deadline
+// passed, every later poll must say stop: a layer generation that was cut
+// short by the deadline is followed by the driver's own poll.
+TEST(RunContextTest, PassedDeadlineStaysObserved) {
+  RunContext ctx;
+  ctx.SetTimeoutMillis(0.0);
+  bool stopped = false;
+  for (int i = 0; i < 64 && !stopped; ++i) stopped = ctx.ShouldStop();
+  ASSERT_TRUE(stopped);
+  for (int i = 0; i < 100; ++i) ASSERT_TRUE(ctx.ShouldStop()) << "poll " << i;
+  // Re-arming a deadline starts over.
+  ctx.SetTimeoutMillis(60000.0);
+  EXPECT_FALSE(ctx.ShouldStop());
+}
+
 TEST(RunContextTest, TerminationToStatusMapping) {
   EXPECT_TRUE(TerminationToStatus(RunTermination::kCompleted).ok());
   EXPECT_TRUE(TerminationToStatus(RunTermination::kTruncated).ok());

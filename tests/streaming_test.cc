@@ -8,6 +8,7 @@
 // "client_satisfied".
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -527,6 +528,42 @@ TEST(StreamingTest, RetryStillAllowedBeforeFirstFrame) {
   EXPECT_GE(client.retries(), 1u);
   client.Close();
   server.Stop();
+}
+
+// A finished streamed session stays in its tenant's manager for STATUS,
+// and so does its progress callback. The callback must not own the
+// tenant, or the tenant would pin itself: after a streamed SUBMIT and a
+// DETACH, nothing may keep the tenant (and its catalog) alive.
+TEST(StreamingTest, DetachFreesTenantAfterStreamedSubmit) {
+  AcqServer server(SharedCatalog());
+  JsonValue attach = JsonValue::Object();
+  attach.Set("cmd", JsonValue::Str("ATTACH"));
+  attach.Set("tenant", JsonValue::Str("t1"));
+  attach.Set("gen", JsonValue::Str("users"));
+  attach.Set("rows", JsonValue::Number(2000));
+  JsonValue attached = MustParse(server.HandleRequestLine(attach.Dump()));
+  ASSERT_TRUE(attached.GetBool("ok", false)) << attached.Dump();
+  std::weak_ptr<Tenant> weak;
+  {
+    Result<TenantPtr> tenant = server.tenants().Find("t1");
+    ASSERT_TRUE(tenant.ok());
+    weak = *tenant;
+  }
+
+  JsonValue request = SubmitRequest(
+      "SELECT * FROM users CONSTRAINT COUNT(*) >= 900 "
+      "WHERE age <= 30 AND income >= 60000",
+      "bfs", /*batch=*/true, 0.0, /*streaming=*/true);
+  request.Set("tenant", JsonValue::Str("t1"));
+  StreamedRun streamed = RunStreamed(server, request);
+  ASSERT_TRUE(streamed.reply.GetBool("ok", false)) << streamed.reply.Dump();
+  ASSERT_FALSE(streamed.frames.empty());
+  ASSERT_FALSE(weak.expired());
+
+  JsonValue detached = MustParse(
+      server.HandleRequestLine("{\"cmd\":\"DETACH\",\"tenant\":\"t1\"}"));
+  ASSERT_TRUE(detached.GetBool("ok", false)) << detached.Dump();
+  EXPECT_TRUE(weak.expired());
 }
 
 }  // namespace
