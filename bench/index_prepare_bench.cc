@@ -1,19 +1,24 @@
-// Index prepare: sharded cell-sorted build vs the sequential reference at
-// 1/2/4/8 workers, plus the amortized cost of live ingestion (append +
-// staged delta sync + merge) against a full rebuild. Every parallel build
-// must be bit-identical to the sequential layout (LayoutsBitIdentical) and
-// every delta-maintained answer bit-identical to a rebuilt layer before
-// its time is reported — a fast wrong build is worthless.
+// Index prepare: the cell-sorted layout build (one stable radix sort of
+// the rows by grid level, index/parallel_prepare.h) timed at pool widths
+// 1/2/4, plus the amortized cost of live ingestion (append + staged delta
+// sync + merge) against a full rebuild. Every timed build must be
+// bit-identical to the brute-force oracle (tests/layout_oracle.h), and
+// every delta-maintained answer bit-identical to a rebuilt layer, before
+// its time is reported: a fast wrong build is worthless.
 //
-// Emits one line of JSON on stdout (committed as BENCH_index_prepare.json);
-// human-readable progress goes to stderr. ACQ_BENCH_ROWS=<n> shrinks the
-// catalog for a quick pass; the default is the paper-scale 10^6.
+// Emits one line of JSON on stdout (committed as BENCH_index_prepare.json):
+// median and spread over the repetitions per pool width, and the machine
+// and build the figures came from. Human-readable progress goes to stderr.
+// ACQ_BENCH_ROWS=<n> shrinks the catalog for a quick pass; the default is
+// the paper-scale 10^6.
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "../tests/layout_oracle.h"
 #include "bench_util.h"
 #include "common/random.h"
 #include "exec/eval_kernel.h"
@@ -24,28 +29,6 @@
 namespace acquire {
 namespace bench {
 namespace {
-
-// Minimum over `reps` of one full layout build (matrix + CSR fold).
-double TimeBuild(const AcqTask& task, double step, ThreadPool* pool,
-                 PrepareMode mode, int reps, CellSortedLayout* out) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    NeededMatrix raw;
-    CellSortedLayout layout;
-    Stopwatch sw;
-    ACQ_CHECK(BuildNeededMatrix(task, pool, &raw).ok());
-    PrepareBuildInfo info;
-    Status built =
-        BuildCellSortedLayout(raw, step, *task.agg.ops, pool, mode, &layout,
-                              &info);
-    const double ms = sw.ElapsedMillis();
-    ACQ_CHECK(built.ok()) << built.ToString();
-    ACQ_CHECK(info.parallel == (mode == PrepareMode::kParallel));
-    best = std::min(best, ms);
-    if (r == reps - 1) *out = std::move(layout);
-  }
-  return best;
-}
 
 // Schema-driven synthetic rows for the append path: values land inside the
 // generated lineitem domains so appended rows hit populated grid regions.
@@ -82,49 +65,65 @@ int Main() {
   const size_t d = 3;
   const double gamma = 12.0;
   const double step = gamma / static_cast<double>(d);
-  const int reps = 3;
+  const int reps = 5;
+  const std::vector<size_t> widths = {1, 2, 4};
 
   Catalog catalog = MakeLineitemCatalog(rows);
   RatioTask ratio = MakeLineitemTask(catalog, d, 0.3);
   const AcqTask& task = ratio.task;
+  const AggregateOps& ops = *task.agg.ops;
 
   fprintf(stderr, "index_prepare_bench rows=%zu d=%zu step=%.2f\n", rows, d,
           step);
 
-  CellSortedLayout reference;
-  const double seq_ms = TimeBuild(task, step, /*pool=*/nullptr,
-                                  PrepareMode::kSequential, reps, &reference);
-  fprintf(stderr, "sequential cells=%zu prepare=%.1fms\n",
-          reference.num_cells(), seq_ms);
+  // The layout is built from the needed matrix; only the layout build is
+  // timed (the matrix build is the same for every layer over the task).
+  NeededMatrix raw;
+  ACQ_CHECK(BuildNeededMatrix(task, nullptr, &raw).ok());
+  Stopwatch t_oracle;
+  const CellSortedLayout oracle = test_util::OracleLayout(raw, step, ops);
+  const double oracle_ms = t_oracle.ElapsedMillis();
+  fprintf(stderr, "oracle cells=%zu unreachable=%zu build=%.1fms\n",
+          oracle.num_cells(), oracle.unreachable_rows, oracle_ms);
+
+  // Repetitions alternate between the pool widths, so drift on the host
+  // spreads over every width alike.
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (size_t width : widths) {
+    pools.push_back(std::make_unique<ThreadPool>(width));
+  }
+  std::vector<std::vector<double>> samples(widths.size());
+  for (int r = 0; r < reps; ++r) {
+    for (size_t w = 0; w < widths.size(); ++w) {
+      CellSortedLayout layout;
+      Stopwatch sw;
+      Status built =
+          BuildCellSortedLayout(raw, step, ops, pools[w].get(), &layout);
+      const double ms = sw.ElapsedMillis();
+      ACQ_CHECK(built.ok()) << built.ToString();
+      // Bit-identity gate: the timing is meaningless otherwise.
+      ACQ_CHECK(LayoutsBitIdentical(oracle, layout))
+          << widths[w] << "-worker build diverged from the oracle";
+      samples[w].push_back(ms);
+    }
+  }
 
   std::string json = StringFormat(
-      "{\"bench\":\"index_prepare\",\"rows\":%zu,\"d\":%zu,\"cells\":%zu,"
-      "\"sequential_prepare_ms\":%.3f,\"configs\":[",
-      rows, d, reference.num_cells(), seq_ms);
-
-  TablePrinter table({"mode", "threads", "prepare_ms", "speedup"});
-  table.AddRow({"sequential", "-", Ms(seq_ms), "1.00"});
-  double best_speedup = 0.0;
-  bool first = true;
-  for (size_t threads : {1, 2, 4, 8}) {
-    ThreadPool pool(threads);
-    CellSortedLayout built;
-    const double ms = TimeBuild(task, step, &pool, PrepareMode::kParallel,
-                                reps, &built);
-    // Bit-identity gate: the timing comparison is meaningless otherwise.
-    ACQ_CHECK(LayoutsBitIdentical(reference, built))
-        << threads << "-thread parallel build diverged";
-    const double speedup = ms > 0.0 ? seq_ms / ms : 0.0;
-    best_speedup = std::max(best_speedup, speedup);
-    fprintf(stderr, "parallel threads=%zu prepare=%.1fms speedup=%.2f\n",
-            threads, ms, speedup);
-    table.AddRow({"parallel", std::to_string(threads), Ms(ms),
-                  StringFormat("%.2f", speedup)});
-    if (!first) json += ",";
-    first = false;
-    json += StringFormat(
-        "{\"threads\":%zu,\"prepare_ms\":%.3f,\"speedup\":%.2f}", threads, ms,
-        speedup);
+      "{\"bench\":\"index_prepare\",\"rows\":%zu,\"d\":%zu,\"step\":%.3f,"
+      "\"cells\":%zu,\"unreachable_rows\":%zu,\"reps\":%d,"
+      "\"machine\":%s,\"oracle_ms\":%.3f,\"configs\":[",
+      rows, d, step, oracle.num_cells(), oracle.unreachable_rows, reps,
+      MachineJson().c_str(), oracle_ms);
+  TablePrinter table({"build", "workers", "median_ms", "min_ms", "max_ms"});
+  for (size_t w = 0; w < widths.size(); ++w) {
+    const Spread spread = SpreadOf(samples[w]);
+    fprintf(stderr, "layout workers=%zu median=%.1fms [%.1f, %.1f]\n",
+            widths[w], spread.median, spread.min, spread.max);
+    table.AddRow({"layout", std::to_string(widths[w]), Ms(spread.median),
+                  Ms(spread.min), Ms(spread.max)});
+    json += StringFormat("%s{\"workers\":%zu,\"layout_ms\":%s}",
+                         w == 0 ? "" : ",", widths[w],
+                         SpreadJson(spread).c_str());
   }
 
   // --- live ingestion: staged deltas vs full rebuild ----------------------
@@ -162,8 +161,8 @@ int Main() {
   ACQ_CHECK(layer.MergeDeltas().ok());
   const double merge_ms = t_merge.ElapsedMillis();
 
-  // One full (sequential) rebuild over the grown relation — both the delta
-  // correctness reference and the per-batch cost of the naive strategy.
+  // One full rebuild over the grown relation: both the delta correctness
+  // reference and the per-batch cost of the naive strategy.
   CellSortedEvaluationLayer rebuilt(&task, step);
   Stopwatch t_rebuild;
   ACQ_CHECK(rebuilt.Prepare().ok());
@@ -182,14 +181,13 @@ int Main() {
           "rebuild=%.2fms amortized_speedup=%.1f\n",
           batches, batch_rows, staging_ms, merge_ms, rebuild_ms,
           amortized_speedup);
-  table.AddRow({"delta-maintain", "-", Ms(delta_total),
-                StringFormat("%.2f", amortized_speedup)});
+  table.AddRow({"delta-maintain", "-", Ms(delta_total), "-", "-"});
 
   json += StringFormat(
-      "],\"best_speedup\":%.2f,\"delta\":{\"batches\":%zu,"
+      "],\"delta\":{\"batches\":%zu,"
       "\"rows_per_batch\":%zu,\"staging_ms\":%.3f,\"merge_ms\":%.3f,"
       "\"rebuild_ms\":%.3f,\"amortized_speedup\":%.2f}}",
-      best_speedup, batches, batch_rows, staging_ms, merge_ms, rebuild_ms,
+      batches, batch_rows, staging_ms, merge_ms, rebuild_ms,
       amortized_speedup);
 
   table.Print();

@@ -29,12 +29,6 @@ void ComputeNeeded(const AcqTask& task, size_t row, std::vector<double>* out) {
   }
 }
 
-int64_t PScoreLevel(double needed, double step) {
-  if (std::isinf(needed)) return -1;
-  if (needed <= 0.0) return 0;
-  return static_cast<int64_t>(std::ceil(needed / step));
-}
-
 PScoreRange CellRangeForLevel(int64_t level, double step) {
   if (level <= 0) return PScoreRange{-1.0, 0.0};
   return PScoreRange{static_cast<double>(level - 1) * step,

@@ -2,6 +2,7 @@
 #define ACQUIRE_EXEC_EVALUATION_H_
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -270,7 +271,16 @@ void ComputeNeeded(const AcqTask& task, size_t row, std::vector<double>* out);
 /// Grid level of a needed PScore at step `step`: level 0 admits exactly the
 /// tuples the original predicate admits (needed == 0); level u > 0 covers
 /// needed in ((u-1)*step, u*step]. Returns -1 for unreachable tuples.
-int64_t PScoreLevel(double needed, double step);
+/// Inline, and without a libm ceil call: the index builds call it for
+/// every row and dimension.
+inline int64_t PScoreLevel(double needed, double step) {
+  if (std::isinf(needed)) return -1;
+  if (needed <= 0.0) return 0;
+  // ceil(q) for q > 0: truncation is the floor, plus one unless q is whole.
+  const double q = needed / step;
+  const int64_t floor = static_cast<int64_t>(q);
+  return floor + (static_cast<double>(floor) < q ? 1 : 0);
+}
 
 /// The cell box of grid level `level` at step `step` on one dimension
 /// (the inverse of PScoreLevel).

@@ -38,8 +38,7 @@ Result<std::unique_ptr<EvaluationLayer>> MakeEvaluationLayer(
     case EvalBackend::kAuto:
     case EvalBackend::kCellSorted:
       return std::unique_ptr<EvaluationLayer>(new CellSortedEvaluationLayer(
-          task, ResolveStep(*task, options), /*pool=*/nullptr,
-          options.prepare_mode));
+          task, ResolveStep(*task, options)));
   }
   return Status::InvalidArgument("unknown evaluation backend");
 }

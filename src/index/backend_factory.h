@@ -6,7 +6,6 @@
 #include "common/result.h"
 #include "exec/backend.h"
 #include "exec/evaluation.h"
-#include "index/parallel_prepare.h"
 
 namespace acquire {
 
@@ -18,9 +17,6 @@ struct BackendOptions {
   double grid_step = 0.0;
   /// Worker threads for the parallel backend; 0 uses the shared pool.
   size_t threads = 0;
-  /// Layout-build strategy for the cell-sorted backend (bit-identical
-  /// results either way; see index/parallel_prepare.h).
-  PrepareMode prepare_mode = PrepareMode::kAuto;
 };
 
 /// Constructs the evaluation layer for `backend` over `task` (which must

@@ -13,12 +13,10 @@ namespace acquire {
 
 CellSortedEvaluationLayer::CellSortedEvaluationLayer(const AcqTask* task,
                                                      double step,
-                                                     ThreadPool* pool,
-                                                     PrepareMode prepare_mode)
+                                                     ThreadPool* pool)
     : EvaluationLayer(task),
       step_(step),
-      pool_(pool != nullptr ? pool : &ThreadPool::Shared()),
-      prepare_mode_(prepare_mode) {}
+      pool_(pool != nullptr ? pool : &ThreadPool::Shared()) {}
 
 Status CellSortedEvaluationLayer::Prepare() {
   if (prepared_) return Status::OK();
@@ -32,9 +30,8 @@ Status CellSortedEvaluationLayer::Prepare() {
   NeededMatrix raw;
   ACQ_RETURN_IF_ERROR(BuildNeededMatrix(*task_, pool_, &raw));
   CellSortedLayout layout;
-  ACQ_RETURN_IF_ERROR(BuildCellSortedLayout(raw, step_, *task_->agg.ops,
-                                            pool_, prepare_mode_, &layout,
-                                            &build_info_));
+  ACQ_RETURN_IF_ERROR(
+      BuildCellSortedLayout(raw, step_, *task_->agg.ops, pool_, &layout));
   unreachable_rows_ = layout.unreachable_rows;
   matrix_ = std::move(layout.matrix);
   cell_keys_ = std::move(layout.cell_keys);
@@ -69,23 +66,16 @@ Status CellSortedEvaluationLayer::StageNewRows() {
   ACQ_RETURN_IF_ERROR(BuildNeededMatrixRows(*task_, consumed_rows_,
                                             relation_rows, /*pool=*/nullptr,
                                             &fresh));
-  GridCoord coord(d);
   size_t appended = 0;
   for (size_t row = 0; row < fresh.rows; ++row) {
     bool reachable = true;
     for (size_t i = 0; i < d; ++i) {
-      int64_t level = PScoreLevel(fresh.dim(i)[row], step_);
-      if (level < 0) {
-        reachable = false;
-        break;
-      }
-      coord[i] = static_cast<int32_t>(level);
+      reachable &= PScoreLevel(fresh.dim(i)[row], step_) >= 0;
     }
     if (!reachable) {
       ++unreachable_rows_;
       continue;
     }
-    delta_coords_.insert(delta_coords_.end(), coord.begin(), coord.end());
     for (size_t i = 0; i < d; ++i) {
       delta_needed_.push_back(fresh.dim(i)[row]);
     }
@@ -94,34 +84,26 @@ Status CellSortedEvaluationLayer::StageNewRows() {
   }
   consumed_rows_ = relation_rows;
 
-  // Rebuild the sorted CSR view over the whole buffer. Stable sort: rows of
-  // one cell stay in append order, which is what makes the per-cell fold
-  // continuation identical to a rebuild.
+  // Rebuild the sorted CSR view over the whole buffer with the prepare's
+  // stable sort: rows of one cell stay in append order, which is what makes
+  // the per-cell fold continuation identical to a rebuild.
   const size_t k = delta_agg_.size();
+  const NeededView staged{delta_needed_.data(), d, d, 1};
   delta_order_.resize(k);
   std::iota(delta_order_.begin(), delta_order_.end(), 0u);
-  std::stable_sort(delta_order_.begin(), delta_order_.end(),
-                   [&](uint32_t a, uint32_t b) {
-                     const int32_t* ka = delta_coords_.data() + a * d;
-                     const int32_t* kb = delta_coords_.data() + b * d;
-                     return std::lexicographical_compare(ka, ka + d, kb,
-                                                         kb + d);
-                   });
-  delta_cell_keys_.clear();
-  delta_cell_offsets_.assign(1, 0);
-  const int32_t* prev = nullptr;
-  for (size_t r = 0; r < k; ++r) {
-    const int32_t* key = delta_coords_.data() + delta_order_[r] * d;
-    if (prev == nullptr || !std::equal(key, key + d, prev)) {
-      delta_cell_keys_.insert(delta_cell_keys_.end(), key, key + d);
-      if (r > 0) delta_cell_offsets_.push_back(static_cast<uint32_t>(r));
+  StableSortByLevels(staged, step_, pool_, &delta_order_,
+                     &delta_cell_offsets_);
+  const size_t dm = delta_num_cells();
+  delta_cell_keys_.resize(dm * d);
+  for (size_t t = 0; t < dm; ++t) {
+    const size_t row = delta_order_[delta_cell_offsets_[t]];
+    for (size_t i = 0; i < d; ++i) {
+      delta_cell_keys_[t * d + i] =
+          static_cast<int32_t>(PScoreLevel(staged.at(row, i), step_));
     }
-    prev = key;
   }
-  delta_cell_offsets_.push_back(static_cast<uint32_t>(k));
   delta_rows_ = k;
-  ChargeBudget(appended * ((d + 1) * sizeof(double) + d * sizeof(int32_t) +
-                           sizeof(uint32_t)));
+  ChargeBudget(appended * ((d + 1) * sizeof(double) + sizeof(uint32_t)));
   return Status::OK();
 }
 
@@ -140,7 +122,6 @@ Status CellSortedEvaluationLayer::MergeDeltas() {
 }
 
 void CellSortedEvaluationLayer::ClearDeltaBuffer() {
-  delta_coords_.clear();
   delta_needed_.clear();
   delta_agg_.clear();
   delta_order_.clear();

@@ -30,9 +30,9 @@ namespace acquire {
 ///    persistent thread pool.
 ///
 /// The layout build itself is delegated to BuildCellSortedLayout
-/// (index/parallel_prepare.h), which shards the cell assignment, the
-/// partition-by-cell and the per-bucket sorts across the pool for large
-/// relations — bit-identical to the sequential reference by construction.
+/// (index/parallel_prepare.h): one stable radix sort of the rows by grid
+/// levels, run in chunks on the pool, whose output is the canonical layout
+/// whatever the pool width.
 ///
 /// Incremental maintenance: rows appended to the task's relation after
 /// Prepare() are discovered lazily at the next evaluate call and staged in a
@@ -50,11 +50,9 @@ namespace acquire {
 /// aligned fast paths to fire; any other step is still correct, just slow.
 class CellSortedEvaluationLayer final : public EvaluationLayer {
  public:
-  /// `pool` = nullptr uses the process-wide shared pool. `prepare_mode`
-  /// picks the layout build strategy (bit-identical either way).
+  /// `pool` = nullptr uses the process-wide shared pool.
   CellSortedEvaluationLayer(const AcqTask* task, double step,
-                            ThreadPool* pool = nullptr,
-                            PrepareMode prepare_mode = PrepareMode::kAuto);
+                            ThreadPool* pool = nullptr);
 
   /// Builds the matrix and the CSR cell layout in one preparation pass.
   Status Prepare() override;
@@ -90,10 +88,6 @@ class CellSortedEvaluationLayer final : public EvaluationLayer {
   /// Rows excluded from the layout because some dimension can never admit
   /// them (needed == inf admits no box).
   size_t unreachable_rows() const { return unreachable_rows_; }
-
-  /// How Prepare() actually ran (sequential vs sharded, bucket count).
-  const PrepareBuildInfo& build_info() const { return build_info_; }
-  PrepareMode prepare_mode() const { return prepare_mode_; }
 
   /// Relation rows already reflected in the layer (main layout + staged
   /// deltas); rows at or past this index are picked up by the next sync.
@@ -144,7 +138,8 @@ class CellSortedEvaluationLayer final : public EvaluationLayer {
   void FoldDeltaCell(const int32_t* key, AggregateOps::State* state) const;
 
   /// Moves relation rows [consumed_rows_, num_rows()) into the staged delta
-  /// buffer and rebuilds its sorted CSR view.
+  /// buffer and rebuilds its sorted CSR view (StableSortByLevels, the
+  /// prepare's sort, over the whole buffer).
   Status StageNewRows();
   /// StageNewRows + threshold-triggered absorb; serial-entry only.
   Status SyncDeltas();
@@ -155,8 +150,6 @@ class CellSortedEvaluationLayer final : public EvaluationLayer {
 
   double step_;
   ThreadPool* pool_;
-  PrepareMode prepare_mode_;
-  PrepareBuildInfo build_info_;
   bool prepared_ = false;
   size_t unreachable_rows_ = 0;
   size_t consumed_rows_ = 0;
@@ -169,7 +162,6 @@ class CellSortedEvaluationLayer final : public EvaluationLayer {
   // Staged appended rows in append order (row-major; unreachable rows are
   // dropped at staging time) plus a sorted CSR view over them, rebuilt on
   // every sync (k stays small — at most the merge threshold).
-  std::vector<int32_t> delta_coords_;  // k * d, row-major
   std::vector<double> delta_needed_;   // k * d, row-major
   std::vector<double> delta_agg_;      // k
   std::vector<uint32_t> delta_order_;  // k, stable-sorted by cell key

@@ -1,410 +1,343 @@
 #include "index/parallel_prepare.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstring>
-#include <numeric>
-#include <unordered_map>
+#include <limits>
+#include <memory>
 
-#include "common/failpoint.h"
-#include "common/string_util.h"
 #include "exec/eval_kernel.h"
 
 namespace acquire {
 
 namespace {
 
-// Below this many rows per bucket the partition/scatter overhead beats the
-// win of a second worker (same ballpark as the eval kernel's chunking).
-constexpr size_t kMinRowsPerBucket = 8192;
-// kAuto stays sequential below this row count outright.
-constexpr size_t kMinParallelRows = 32768;
+// Rows (or sorted positions) per pool chunk: below this the hand-off to a
+// worker costs more than the chunk's work.
+constexpr size_t kChunkRows = 16384;
+// Cells per pool chunk of the per-cell fold.
+constexpr size_t kChunkCells = 4096;
+// Widest radix digit: 2^11 counters per chunk stay in L1.
+constexpr unsigned kMaxDigitBits = 11;
+// Rows ahead of the gather cursor whose payload is prefetched.
+constexpr size_t kGatherPrefetch = 32;
+// Per-chunk counter blocks span at least one cache line.
+constexpr size_t kMinCounterStride = 16;
 
-/// The sequential reference build (the pre-refactor CellSorted Prepare body,
-/// operating on an already-built matrix).
-Status BuildSequential(const NeededMatrix& raw, double step,
-                       const AggregateOps& ops, CellSortedLayout* out) {
-  const size_t n = raw.rows;
-  const size_t d = raw.dims;
+/// Deterministic chunking of [0, n): chunk c covers
+/// [c * size, min(n, (c + 1) * size)). Run() hands out chunk indices rather
+/// than ParallelFor ranges, so the per-chunk counts and cursors of one pass
+/// line up even when a ParallelFor call degrades to a single serial call.
+class Chunks {
+ public:
+  Chunks(ThreadPool* pool, size_t n, size_t min_chunk)
+      : pool_(pool),
+        n_(n),
+        count_(pool->NumChunks(n, min_chunk)),
+        size_(count_ == 0 ? 0 : (n + count_ - 1) / count_) {}
 
-  // Assign every row its grid cell; first-seen cell ids are temporary and
-  // replaced by the sorted order below. Unreachable rows (needed == inf on
-  // some dimension) are dropped: no PScoreRange admits infinity.
-  constexpr uint32_t kUnreachable = UINT32_MAX;
-  std::unordered_map<GridCoord, uint32_t, GridCoordHash> cell_ids;
-  std::vector<GridCoord> coords;  // by temporary cell id
-  std::vector<uint32_t> counts;   // by temporary cell id
-  std::vector<uint32_t> row_cell(n, kUnreachable);
-  GridCoord coord(d);
-  out->unreachable_rows = 0;
-  for (size_t row = 0; row < n; ++row) {
-    bool reachable = true;
-    for (size_t i = 0; i < d; ++i) {
-      int64_t level = PScoreLevel(raw.dim(i)[row], step);
-      if (level < 0) {
-        reachable = false;
-        break;
-      }
-      coord[i] = static_cast<int32_t>(level);
-    }
-    if (!reachable) {
-      ++out->unreachable_rows;
-      continue;
-    }
-    auto [it, inserted] =
-        cell_ids.try_emplace(coord, static_cast<uint32_t>(coords.size()));
-    if (inserted) {
-      coords.push_back(coord);
-      counts.push_back(0);
-    }
-    row_cell[row] = it->second;
-    ++counts[it->second];
+  size_t n() const { return n_; }
+  size_t count() const { return count_; }
+  size_t begin(size_t c) const { return std::min(n_, c * size_); }
+  size_t end(size_t c) const { return std::min(n_, (c + 1) * size_); }
+
+  /// Runs body(chunk, begin, end) for every chunk on the pool.
+  template <typename Body>
+  void Run(const Body& body) const {
+    pool_->ParallelFor(count_, 1, [&](size_t, size_t first, size_t last) {
+      for (size_t c = first; c < last; ++c) body(c, begin(c), end(c));
+    });
   }
 
-  // Sort the (small) set of distinct cells lexicographically, then
-  // counting-sort the rows into that order: prefix offsets + scatter.
-  const size_t m = coords.size();
-  std::vector<uint32_t> order(m);
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return coords[a] < coords[b];
-  });
-  std::vector<uint32_t> sorted_pos(m);
-  for (size_t s = 0; s < m; ++s) {
-    sorted_pos[order[s]] = static_cast<uint32_t>(s);
-  }
-
-  out->cell_keys.resize(m * d);
-  out->cell_offsets.assign(m + 1, 0);
-  for (size_t s = 0; s < m; ++s) {
-    const GridCoord& c = coords[order[s]];
-    std::copy(c.begin(), c.end(), out->cell_keys.begin() + s * d);
-    out->cell_offsets[s + 1] = out->cell_offsets[s] + counts[order[s]];
-  }
-
-  const size_t reachable = n - out->unreachable_rows;
-  out->matrix.rows = reachable;
-  out->matrix.dims = d;
-  out->matrix.needed.resize(reachable * d);
-  out->matrix.agg_values.resize(reachable);
-  std::vector<uint32_t> cursor(out->cell_offsets.begin(),
-                               out->cell_offsets.end() - 1);
-  for (size_t row = 0; row < n; ++row) {
-    if (row_cell[row] == kUnreachable) continue;
-    const uint32_t p = cursor[sorted_pos[row_cell[row]]]++;
-    for (size_t i = 0; i < d; ++i) {
-      out->matrix.mutable_dim(i)[p] = raw.dim(i)[row];
-    }
-    out->matrix.agg_values[p] = raw.agg_values[row];
-  }
-
-  // Per-cell aggregate states: fold each contiguous payload range.
-  out->cell_states.resize(m);
-  for (size_t s = 0; s < m; ++s) {
-    out->cell_states[s] = ops.Init();
-    FoldRange(ops, out->matrix.agg_values.data() + out->cell_offsets[s],
-              out->cell_offsets[s + 1] - out->cell_offsets[s],
-              &out->cell_states[s]);
-  }
-  return Status::OK();
-}
-
-/// One bucket's piece of the layout, concatenated by the caller.
-struct BucketCells {
-  std::vector<int32_t> keys;      // m_b * d, sorted
-  std::vector<uint32_t> offsets;  // m_b + 1, relative to the bucket start
-  std::vector<AggregateOps::State> states;
+ private:
+  ThreadPool* pool_;
+  size_t n_;
+  size_t count_;
+  size_t size_;
 };
 
-/// The sharded build. Returns false (with *out untouched) when the input
-/// yields no usable splitter sample — the caller then runs the sequential
-/// reference instead.
-bool BuildParallel(const NeededMatrix& raw, double step,
-                   const AggregateOps& ops, ThreadPool* pool,
-                   CellSortedLayout* out, size_t* buckets_out) {
-  const size_t n = raw.rows;
-  const size_t d = raw.dims;
-  const size_t chunks = pool->NumChunks(n, kMinRowsPerBucket);
-  const size_t num_buckets = chunks;
-  if (n == 0 || num_buckets == 0) return false;
-
-  // Deterministic range-partition splitters: a strided sample of row cell
-  // coordinates, sorted, cut at even quantiles. The bucket of a row depends
-  // only on its cell coordinate, so a cell can never straddle buckets, and
-  // splitter order makes bucket order agree with lexicographic cell order —
-  // concatenating the per-bucket sorted layouts IS the global sorted layout.
-  std::vector<GridCoord> sample;
-  {
-    const size_t target = std::max<size_t>(256, num_buckets * 32);
-    const size_t stride = std::max<size_t>(1, n / target);
-    GridCoord c(d);
-    for (size_t row = 0; row < n; row += stride) {
-      bool ok = true;
-      for (size_t i = 0; i < d; ++i) {
-        int64_t level = PScoreLevel(raw.dim(i)[row], step);
-        if (level < 0) {
-          ok = false;
-          break;
-        }
-        c[i] = static_cast<int32_t>(level);
-      }
-      if (ok) sample.push_back(c);
+/// One stable counting pass of (key, row) pairs by the digit
+/// (key >> shift) & (2^bits - 1), from (keys, rows) into (keys_out,
+/// rows_out). Chunk-major prefix sums keep the rows of one digit in input
+/// order. Returns false, writing nothing, when every key has the same digit.
+template <typename Key>
+bool RadixPass(const Chunks& chunks, unsigned shift, unsigned bits,
+               const Key* keys, const uint32_t* rows, Key* keys_out,
+               uint32_t* rows_out) {
+  const size_t radix = size_t{1} << bits;
+  const Key mask = static_cast<Key>(radix - 1);
+  const size_t stride = std::max(radix, kMinCounterStride);
+  std::vector<uint32_t> counts(chunks.count() * stride, 0);
+  chunks.Run([&](size_t c, size_t begin, size_t end) {
+    uint32_t* count = counts.data() + c * stride;
+    for (size_t j = begin; j < end; ++j) ++count[(keys[j] >> shift) & mask];
+  });
+  uint32_t next = 0;
+  for (size_t digit = 0; digit < radix; ++digit) {
+    const uint32_t digit_start = next;
+    for (size_t c = 0; c < chunks.count(); ++c) {
+      uint32_t& slot = counts[c * stride + digit];
+      const uint32_t here = slot;
+      slot = next;
+      next += here;
     }
+    if (next - digit_start == chunks.n()) return false;
   }
-  if (sample.empty()) return false;
-  std::sort(sample.begin(), sample.end());
-  std::vector<GridCoord> splitters;
-  splitters.reserve(num_buckets - 1);
-  for (size_t k = 1; k < num_buckets; ++k) {
-    splitters.push_back(sample[k * sample.size() / num_buckets]);
-  }
-  // bucket(key) = number of splitters lexicographically <= key, in
-  // [0, num_buckets).
-  auto bucket_of = [&](const int32_t* key) -> uint32_t {
-    size_t lo = 0;
-    size_t hi = splitters.size();
-    while (lo < hi) {
-      const size_t mid = (lo + hi) / 2;
-      const GridCoord& s = splitters[mid];
-      if (std::lexicographical_compare(key, key + d, s.data(),
-                                       s.data() + d)) {
-        hi = mid;  // splitter > key
-      } else {
-        lo = mid + 1;
-      }
+  chunks.Run([&](size_t c, size_t begin, size_t end) {
+    uint32_t* cursor = counts.data() + c * stride;
+    for (size_t j = begin; j < end; ++j) {
+      const uint32_t p = cursor[(keys[j] >> shift) & mask]++;
+      keys_out[p] = keys[j];
+      rows_out[p] = rows[j];
     }
-    return static_cast<uint32_t>(lo);
-  };
-
-  // Phase A: per-row cell coordinates, reachability and bucket assignment
-  // over deterministic row chunks, with per-chunk bucket histograms.
-  std::vector<int32_t> levels(n * d);  // row-major scratch
-  std::vector<uint8_t> reachable(n);
-  std::vector<uint32_t> row_bucket(n);
-  std::vector<uint32_t> counts(chunks * num_buckets, 0);
-  std::vector<uint32_t> chunk_unreachable(chunks, 0);
-  pool->ParallelFor(n, kMinRowsPerBucket,
-                    [&](size_t chunk, size_t begin, size_t end) {
-                      uint32_t* my = counts.data() + chunk * num_buckets;
-                      uint32_t bad = 0;
-                      for (size_t row = begin; row < end; ++row) {
-                        int32_t* c = levels.data() + row * d;
-                        bool ok = true;
-                        for (size_t i = 0; i < d; ++i) {
-                          int64_t level = PScoreLevel(raw.dim(i)[row], step);
-                          if (level < 0) {
-                            ok = false;
-                            break;
-                          }
-                          c[i] = static_cast<int32_t>(level);
-                        }
-                        reachable[row] = ok ? 1 : 0;
-                        if (!ok) {
-                          ++bad;
-                          continue;
-                        }
-                        const uint32_t b = bucket_of(c);
-                        row_bucket[row] = b;
-                        ++my[b];
-                      }
-                      chunk_unreachable[chunk] = bad;
-                    });
-  const size_t unreachable_rows =
-      std::accumulate(chunk_unreachable.begin(), chunk_unreachable.end(),
-                      size_t{0});
-  const size_t reachable_rows = n - unreachable_rows;
-
-  // Prefix sums: bucket payload ranges, and each (chunk, bucket) write
-  // cursor — chunk-major within a bucket, so a bucket's rows end up ordered
-  // by (chunk, row) == relation row order.
-  std::vector<uint32_t> bucket_start(num_buckets + 1, 0);
-  for (size_t b = 0; b < num_buckets; ++b) {
-    uint32_t rows = 0;
-    for (size_t c = 0; c < chunks; ++c) rows += counts[c * num_buckets + b];
-    bucket_start[b + 1] = bucket_start[b] + rows;
-  }
-  std::vector<uint32_t> cursors(chunks * num_buckets);
-  for (size_t b = 0; b < num_buckets; ++b) {
-    uint32_t cur = bucket_start[b];
-    for (size_t c = 0; c < chunks; ++c) {
-      cursors[c * num_buckets + b] = cur;
-      cur += counts[c * num_buckets + b];
-    }
-  }
-
-  // Phase B: scatter row indices into bucket order (disjoint slices, no
-  // synchronization; identical chunking to phase A).
-  std::vector<uint32_t> rows_by_bucket(reachable_rows);
-  pool->ParallelFor(n, kMinRowsPerBucket,
-                    [&](size_t chunk, size_t begin, size_t end) {
-                      uint32_t* cur = cursors.data() + chunk * num_buckets;
-                      for (size_t row = begin; row < end; ++row) {
-                        if (!reachable[row]) continue;
-                        rows_by_bucket[cur[row_bucket[row]]++] =
-                            static_cast<uint32_t>(row);
-                      }
-                    });
-
-  // Phase C: each bucket runs the sequential reference on its slice —
-  // first-seen distinct cells in row order, sort, counting scatter into the
-  // bucket's global payload range, per-cell folds. Buckets are independent.
-  out->unreachable_rows = unreachable_rows;
-  out->matrix.rows = reachable_rows;
-  out->matrix.dims = d;
-  out->matrix.needed.resize(reachable_rows * d);
-  out->matrix.agg_values.resize(reachable_rows);
-  std::vector<BucketCells> bucket_cells(num_buckets);
-  pool->ParallelFor(
-      num_buckets, 1, [&](size_t, size_t bucket_begin, size_t bucket_end) {
-        std::unordered_map<GridCoord, uint32_t, GridCoordHash> ids;
-        GridCoord c(d);
-        for (size_t b = bucket_begin; b < bucket_end; ++b) {
-          BucketCells& bc = bucket_cells[b];
-          const uint32_t base = bucket_start[b];
-          const uint32_t count = bucket_start[b + 1] - base;
-          bc.offsets.assign(1, 0);
-          if (count == 0) continue;
-          ids.clear();
-          std::vector<GridCoord> coords;
-          std::vector<uint32_t> cell_counts;
-          std::vector<uint32_t> row_cell(count);
-          for (uint32_t r = 0; r < count; ++r) {
-            const uint32_t row = rows_by_bucket[base + r];
-            c.assign(levels.begin() + row * d, levels.begin() + (row + 1) * d);
-            auto [it, inserted] =
-                ids.try_emplace(c, static_cast<uint32_t>(coords.size()));
-            if (inserted) {
-              coords.push_back(c);
-              cell_counts.push_back(0);
-            }
-            row_cell[r] = it->second;
-            ++cell_counts[it->second];
-          }
-          const size_t m = coords.size();
-          std::vector<uint32_t> order(m);
-          std::iota(order.begin(), order.end(), 0u);
-          std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b2) {
-            return coords[a] < coords[b2];
-          });
-          std::vector<uint32_t> sorted_pos(m);
-          for (size_t s = 0; s < m; ++s) {
-            sorted_pos[order[s]] = static_cast<uint32_t>(s);
-          }
-          bc.keys.resize(m * d);
-          bc.offsets.assign(m + 1, 0);
-          for (size_t s = 0; s < m; ++s) {
-            const GridCoord& coord = coords[order[s]];
-            std::copy(coord.begin(), coord.end(), bc.keys.begin() + s * d);
-            bc.offsets[s + 1] = bc.offsets[s] + cell_counts[order[s]];
-          }
-          std::vector<uint32_t> cursor(bc.offsets.begin(),
-                                       bc.offsets.end() - 1);
-          for (uint32_t r = 0; r < count; ++r) {
-            const uint32_t row = rows_by_bucket[base + r];
-            const uint32_t p = base + cursor[sorted_pos[row_cell[r]]]++;
-            for (size_t i = 0; i < d; ++i) {
-              out->matrix.mutable_dim(i)[p] = raw.dim(i)[row];
-            }
-            out->matrix.agg_values[p] = raw.agg_values[row];
-          }
-          bc.states.resize(m);
-          for (size_t s = 0; s < m; ++s) {
-            bc.states[s] = ops.Init();
-            FoldRange(ops, out->matrix.agg_values.data() + base + bc.offsets[s],
-                      bc.offsets[s + 1] - bc.offsets[s], &bc.states[s]);
-          }
-        }
-      });
-
-  // Assembly: concatenate the per-bucket layouts (the distinct-cell count is
-  // small next to n, so this stays sequential).
-  size_t m_total = 0;
-  for (const BucketCells& bc : bucket_cells) m_total += bc.offsets.size() - 1;
-  out->cell_keys.clear();
-  out->cell_keys.reserve(m_total * d);
-  out->cell_offsets.clear();
-  out->cell_offsets.reserve(m_total + 1);
-  out->cell_offsets.push_back(0);
-  out->cell_states.clear();
-  out->cell_states.reserve(m_total);
-  for (size_t b = 0; b < num_buckets; ++b) {
-    BucketCells& bc = bucket_cells[b];
-    const uint32_t base = bucket_start[b];
-    out->cell_keys.insert(out->cell_keys.end(), bc.keys.begin(),
-                          bc.keys.end());
-    for (size_t s = 0; s + 1 < bc.offsets.size(); ++s) {
-      out->cell_offsets.push_back(base + bc.offsets[s + 1]);
-    }
-    for (AggregateOps::State& state : bc.states) {
-      out->cell_states.push_back(std::move(state));
-    }
-  }
-  if (buckets_out != nullptr) *buckets_out = num_buckets;
+  });
   return true;
+}
+
+// Level of row `row` on dimension `i` as the layout stores it (callers
+// only pass reachable rows).
+inline int32_t LevelAt(const NeededView& needed, double step, size_t row,
+                       size_t i) {
+  return static_cast<int32_t>(PScoreLevel(needed.at(row, i), step));
+}
+
+/// One sort key word: the adjacent dimensions [first, end) of the level
+/// tuple, `first` most significant, packed into `bits` bits.
+struct KeyWord {
+  size_t first;
+  size_t end;
+  unsigned bits;
+};
+
+/// Stably sorts *rows by one key word (packed into a Key of at least
+/// word.bits bits) in digit passes, ping-ponging with *spare. For the most
+/// significant word, `cell_offsets` is non-null and receives the sorted
+/// positions where a new level tuple starts: the word's keys differ, or the
+/// levels of a less significant dimension do.
+template <typename Key>
+void SortByWord(const Chunks& chunks, const NeededView& needed, double step,
+                const KeyWord& word, const std::vector<int64_t>& base,
+                const std::vector<unsigned>& width, uint32_t** rows,
+                uint32_t** spare, std::vector<uint32_t>* cell_offsets) {
+  const size_t n = chunks.n();
+  // Left uninitialized: the packing writes every key before a pass reads.
+  auto keys = std::make_unique_for_overwrite<Key[]>(n);
+  auto keys_out = std::make_unique_for_overwrite<Key[]>(n);
+  const uint32_t* in = *rows;
+  chunks.Run([&](size_t, size_t begin, size_t end) {
+    for (size_t j = begin; j < end; ++j) {
+      Key key = 0;
+      for (size_t i = word.first; i < word.end; ++i) {
+        const int64_t offset = LevelAt(needed, step, in[j], i) - base[i];
+        key = static_cast<Key>((uint64_t{key} << width[i]) |
+                               static_cast<uint64_t>(offset));
+      }
+      keys[j] = key;
+    }
+  });
+  // Digits of (nearly) equal width, none wider than kMaxDigitBits.
+  const unsigned passes = (word.bits + kMaxDigitBits - 1) / kMaxDigitBits;
+  for (unsigned pass = 0; pass < passes; ++pass) {
+    const unsigned shift = word.bits * pass / passes;
+    const unsigned bits = word.bits * (pass + 1) / passes - shift;
+    if (RadixPass(chunks, shift, bits, keys.get(), *rows, keys_out.get(),
+                  *spare)) {
+      keys.swap(keys_out);
+      std::swap(*rows, *spare);
+    }
+  }
+  if (cell_offsets == nullptr) return;
+  const uint32_t* sorted = *rows;
+  std::vector<std::vector<uint32_t>> chunk_starts(chunks.count());
+  chunks.Run([&](size_t c, size_t begin, size_t end) {
+    std::vector<uint32_t> starts;  // chunk-local, like the level ranges
+    for (size_t j = begin; j < end; ++j) {
+      bool start = j == 0 || keys[j] != keys[j - 1];
+      for (size_t i = word.end; !start && i < needed.dims; ++i) {
+        start = LevelAt(needed, step, sorted[j], i) !=
+                LevelAt(needed, step, sorted[j - 1], i);
+      }
+      if (start) starts.push_back(static_cast<uint32_t>(j));
+    }
+    chunk_starts[c] = std::move(starts);
+  });
+  cell_offsets->clear();
+  for (const std::vector<uint32_t>& starts : chunk_starts) {
+    cell_offsets->insert(cell_offsets->end(), starts.begin(), starts.end());
+  }
 }
 
 }  // namespace
 
-const char* PrepareModeName(PrepareMode mode) {
-  switch (mode) {
-    case PrepareMode::kAuto:
-      return "auto";
-    case PrepareMode::kSequential:
-      return "sequential";
-    case PrepareMode::kParallel:
-      return "parallel";
+void StableSortByLevels(const NeededView& needed, double step,
+                        ThreadPool* pool, std::vector<uint32_t>* order,
+                        std::vector<uint32_t>* cell_offsets) {
+  const size_t n = order->size();
+  const size_t d = needed.dims;
+  cell_offsets->assign(1, 0);
+  if (n == 0) return;
+  if (d == 0) {
+    cell_offsets->push_back(static_cast<uint32_t>(n));
+    return;
   }
-  return "unknown";
-}
+  if (pool == nullptr) pool = &ThreadPool::Shared();
+  const Chunks chunks(pool, n, kChunkRows);
 
-bool ParsePrepareMode(const std::string& name, PrepareMode* out) {
-  const std::string lower = ToLower(name);
-  if (lower == "auto") {
-    *out = PrepareMode::kAuto;
-  } else if (lower == "sequential" || lower == "seq") {
-    *out = PrepareMode::kSequential;
-  } else if (lower == "parallel" || lower == "par") {
-    *out = PrepareMode::kParallel;
-  } else {
-    return false;
+  // Each dimension's level range over the rows to sort: a level is keyed by
+  // its offset from the minimum, in as many bits as the range needs.
+  // PScoreLevel is monotone in the needed value, so the levels of the
+  // extreme needed values bound the range.
+  std::vector<double> lo(chunks.count() * d);
+  std::vector<double> hi(chunks.count() * d);
+  chunks.Run([&](size_t c, size_t begin, size_t end) {
+    // Chunk-local until the end: neighbouring chunks' slots share a cache
+    // line.
+    std::vector<double> my_lo(d, std::numeric_limits<double>::infinity());
+    std::vector<double> my_hi(d, -std::numeric_limits<double>::infinity());
+    for (size_t j = begin; j < end; ++j) {
+      const size_t row = (*order)[j];
+      for (size_t i = 0; i < d; ++i) {
+        my_lo[i] = std::min(my_lo[i], needed.at(row, i));
+        my_hi[i] = std::max(my_hi[i], needed.at(row, i));
+      }
+    }
+    std::copy(my_lo.begin(), my_lo.end(), lo.begin() + c * d);
+    std::copy(my_hi.begin(), my_hi.end(), hi.begin() + c * d);
+  });
+  std::vector<int64_t> base(d);
+  std::vector<unsigned> width(d);
+  for (size_t i = 0; i < d; ++i) {
+    double min = lo[i];
+    double max = hi[i];
+    for (size_t c = 1; c < chunks.count(); ++c) {
+      min = std::min(min, lo[c * d + i]);
+      max = std::max(max, hi[c * d + i]);
+    }
+    base[i] = PScoreLevel(min, step);
+    const int64_t top = PScoreLevel(max, step);
+    if (top > INT32_MAX) {
+      // Levels past int32 wrap when stored; key the full int32 range.
+      base[i] = INT32_MIN;
+      width[i] = 32;
+    } else {
+      width[i] = std::bit_width(static_cast<uint64_t>(top - base[i]));
+    }
   }
-  return true;
+
+  // Key words, least significant first. A dimension (at most 32 bits)
+  // never straddles two words.
+  std::vector<KeyWord> words;
+  for (size_t end = d; end > 0;) {
+    KeyWord word{end, end, 0};
+    while (word.first > 0 && word.bits + width[word.first - 1] <= 64) {
+      --word.first;
+      word.bits += width[word.first];
+    }
+    words.push_back(word);
+    end = word.first;
+  }
+
+  auto spare_rows = std::make_unique_for_overwrite<uint32_t[]>(n);
+  uint32_t* rows = order->data();
+  uint32_t* spare = spare_rows.get();
+  for (const KeyWord& word : words) {
+    std::vector<uint32_t>* starts =
+        &word == &words.back() ? cell_offsets : nullptr;
+    // Narrow keys halve the bytes every pass moves.
+    if (word.bits <= 32) {
+      SortByWord<uint32_t>(chunks, needed, step, word, base, width, &rows,
+                           &spare, starts);
+    } else {
+      SortByWord<uint64_t>(chunks, needed, step, word, base, width, &rows,
+                           &spare, starts);
+    }
+  }
+  if (rows != order->data()) std::copy(rows, rows + n, order->data());
+  cell_offsets->push_back(static_cast<uint32_t>(n));
 }
 
 Status BuildCellSortedLayout(const NeededMatrix& raw, double step,
                              const AggregateOps& ops, ThreadPool* pool,
-                             PrepareMode mode, CellSortedLayout* out,
-                             PrepareBuildInfo* info) {
+                             CellSortedLayout* out) {
   if (step <= 0.0) {
     return Status::InvalidArgument("cell-sorted layout requires a positive "
                                    "step");
   }
   if (pool == nullptr) pool = &ThreadPool::Shared();
-  bool parallel = false;
-  switch (mode) {
-    case PrepareMode::kSequential:
-      break;
-    case PrepareMode::kParallel:
-      parallel = true;
-      break;
-    case PrepareMode::kAuto:
-      parallel = raw.rows >= kMinParallelRows &&
-                 pool->NumChunks(raw.rows, kMinRowsPerBucket) >= 2;
-      break;
+  const size_t n = raw.rows;
+  const size_t d = raw.dims;
+  const NeededView needed{raw.needed.data(), d, 1, n};
+
+  // Reachable rows in relation order. Unreachable rows (needed == inf on
+  // some dimension) are dropped: no PScoreRange admits infinity. Each chunk
+  // lists its reachable rows from its own start; the lists then slide down.
+  std::vector<uint32_t> order(n);
+  const Chunks row_chunks(pool, n, kChunkRows);
+  std::vector<size_t> kept(row_chunks.count());
+  row_chunks.Run([&](size_t c, size_t begin, size_t end) {
+    size_t k = begin;
+    for (size_t row = begin; row < end; ++row) {
+      bool reachable = true;
+      for (size_t i = 0; i < d; ++i) {
+        reachable &= !std::isinf(raw.dim(i)[row]);  // PScoreLevel's -1
+      }
+      if (reachable) order[k++] = static_cast<uint32_t>(row);
+    }
+    kept[c] = k - begin;
+  });
+  size_t reachable = 0;
+  for (size_t c = 0; c < row_chunks.count(); ++c) {
+    const auto first = order.begin() + row_chunks.begin(c);
+    // std::copy may not write into its own source range.
+    if (first != order.begin() + reachable) {
+      std::copy(first, first + kept[c], order.begin() + reachable);
+    }
+    reachable += kept[c];
   }
-  // Result-preserving fault injection: a build that would have sharded runs
-  // the sequential reference instead (identical layout by construction).
-  if (parallel && ACQ_FAILPOINT("index.parallel_prepare")) parallel = false;
-  size_t buckets = 0;
-  if (parallel && !BuildParallel(raw, step, ops, pool, out, &buckets)) {
-    parallel = false;  // degenerate input (no reachable sample rows)
-  }
-  if (!parallel) {
-    ACQ_RETURN_IF_ERROR(BuildSequential(raw, step, ops, out));
-  }
-  if (info != nullptr) {
-    info->parallel = parallel;
-    info->buckets = buckets;
-  }
+  order.resize(reachable);
+
+  StableSortByLevels(needed, step, pool, &order, &out->cell_offsets);
+
+  // Payload in cell order.
+  out->unreachable_rows = n - reachable;
+  out->matrix.rows = reachable;
+  out->matrix.dims = d;
+  out->matrix.needed.resize(reachable * d);
+  out->matrix.agg_values.resize(reachable);
+  Chunks(pool, reachable, kChunkRows).Run([&](size_t, size_t begin,
+                                              size_t end) {
+    for (size_t j = begin; j < end; ++j) {
+      // The reads are random: ask for a later row's payload early.
+      if (j + kGatherPrefetch < end) {
+        const size_t ahead = order[j + kGatherPrefetch];
+        for (size_t i = 0; i < d; ++i) __builtin_prefetch(raw.dim(i) + ahead);
+        __builtin_prefetch(raw.agg_values.data() + ahead);
+      }
+      const size_t row = order[j];
+      for (size_t i = 0; i < d; ++i) {
+        out->matrix.mutable_dim(i)[j] = raw.dim(i)[row];
+      }
+      out->matrix.agg_values[j] = raw.agg_values[row];
+    }
+  });
+
+  // Per-cell keys (the levels of the cell's first row) and states (a fold
+  // of its contiguous payload).
+  const size_t m = out->num_cells();
+  out->cell_keys.resize(m * d);
+  out->cell_states.resize(m);
+  Chunks(pool, m, kChunkCells).Run([&](size_t, size_t begin, size_t end) {
+    for (size_t s = begin; s < end; ++s) {
+      const uint32_t first = out->cell_offsets[s];
+      for (size_t i = 0; i < d; ++i) {
+        out->cell_keys[s * d + i] = LevelAt(needed, step, order[first], i);
+      }
+      out->cell_states[s] = ops.Init();
+      FoldRange(ops, out->matrix.agg_values.data() + first,
+                out->cell_offsets[s + 1] - first, &out->cell_states[s]);
+    }
+  });
   return Status::OK();
 }
 

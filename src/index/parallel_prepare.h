@@ -2,7 +2,6 @@
 #define ACQUIRE_INDEX_PARALLEL_PREPARE_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -12,30 +11,13 @@
 
 namespace acquire {
 
-/// How a cell-sorted layout build is executed. Every mode produces the SAME
-/// layout bit for bit — the layout is canonical (cells sorted
-/// lexicographically, payload rows in relation order within each cell,
-/// per-cell states folded in payload order), so the choice only trades off
-/// build time and is deliberately absent from the task fingerprint.
-enum class PrepareMode {
-  /// Parallel when the row count and the pool justify it (see
-  /// BuildCellSortedLayout for the exact rule), else sequential.
-  kAuto,
-  /// Always the sequential reference build.
-  kSequential,
-  /// Always the sharded parallel build (even on a 1-worker pool, so
-  /// single-core CI can still exercise the parallel code path).
-  kParallel,
-};
-
-const char* PrepareModeName(PrepareMode mode);
-/// Parses "auto|sequential|parallel" (case-insensitive).
-bool ParsePrepareMode(const std::string& name, PrepareMode* out);
-
-/// The cell-sorted CSR layout (see index/cell_sorted.h for field semantics):
-/// the build result is separated from the layer so the sequential and
-/// parallel builders, the delta merge, and the benches can all produce and
-/// compare the same structure.
+/// The cell-sorted CSR layout (see index/cell_sorted.h for field semantics),
+/// kept apart from the layer so the build, the delta merge, the tests and
+/// the benches can all produce and compare the same structure.
+///
+/// The layout is canonical: cells sorted lexicographically, each cell's
+/// payload rows in relation order, per-cell states folded in payload order.
+/// Any correct build produces it byte for byte.
 struct CellSortedLayout {
   size_t unreachable_rows = 0;
   NeededMatrix matrix;                 // permuted to cell order
@@ -48,43 +30,53 @@ struct CellSortedLayout {
   }
 };
 
-/// How the build actually ran (for stats/tests/benches).
-struct PrepareBuildInfo {
-  bool parallel = false;  // the sharded path ran (vs the sequential one)
-  size_t buckets = 0;     // range-partition buckets used (parallel only)
+/// Needed PScores under arbitrary strides: row r's value on dimension i is
+/// data[r * row_stride + i * dim_stride]. Views a dimension-major
+/// NeededMatrix (row_stride 1) as well as a row-major buffer (dim_stride 1).
+struct NeededView {
+  const double* data = nullptr;
+  size_t dims = 0;
+  size_t row_stride = 0;
+  size_t dim_stride = 0;
+
+  double at(size_t row, size_t i) const {
+    return data[row * row_stride + i * dim_stride];
+  }
 };
+
+/// Stably sorts `order` (reachable rows of `needed`) by the rows' grid-level
+/// tuples at `step` (PScoreLevel, as int32), compared lexicographically,
+/// and groups them into cells: rows with equal tuples keep their order in
+/// `order`, and `cell_offsets` receives the sorted position where each
+/// tuple's run starts, followed by order->size().
+///
+/// LSD radix sort: each dimension's levels are offset by their minimum and
+/// take as many bits as their range needs; adjacent dimensions pack into
+/// 64-bit key words, and the words are sorted least significant first, in
+/// passes of at most 11-bit digits. A tuple wider than 64 bits takes more
+/// words through the same passes. Every pass counts digits per row chunk
+/// and scatters by chunk-major prefix sums on `pool` (nullptr = the shared
+/// pool), so the result does not depend on the chunking or the pool width.
+void StableSortByLevels(const NeededView& needed, double step,
+                        ThreadPool* pool, std::vector<uint32_t>* order,
+                        std::vector<uint32_t>* cell_offsets);
 
 /// Builds the cell-sorted layout of `raw` (a needed-PScore matrix in
 /// relation row order) at grid step `step`, folding per-cell states with
-/// `ops`.
-///
-/// Sequential reference: first-seen cell ids over one row scan, sort the
-/// distinct cells, counting-sort the rows into cell order, fold each cell's
-/// contiguous payload.
-///
-/// Sharded parallel build (two-phase): (A) per-row cell coordinates are
-/// computed over row chunks on the pool; (B) rows are range-partitioned by
-/// cell coordinate into per-worker buckets using deterministic sample-based
-/// splitters (all rows of one cell land in one bucket; per-chunk counts +
-/// prefix sums keep each bucket's rows in relation order), each bucket then
-/// runs the sequential reference on its slice in parallel, and the bucket
-/// layouts concatenate into the global CSR arrays. Because every cell lives in exactly one bucket and
-/// buckets are ordered by the splitters, the concatenation IS the sorted
-/// order, and each cell's payload/fold order matches the reference exactly —
-/// the parallel build is bit-identical by construction, not by luck.
-///
-/// kAuto falls back to sequential below ~32k rows or when the pool cannot
-/// produce two buckets; the `index.parallel_prepare` failpoint forces the
-/// (result-identical) sequential path on builds that would have run
-/// parallel. `pool` = nullptr uses the process-wide shared pool.
+/// `ops`: unreachable rows (needed == inf on some dimension) are dropped,
+/// the reachable ones are sorted into cells with StableSortByLevels, the
+/// payload is gathered into that order, and each cell's contiguous payload
+/// is folded. Levels are recomputed from the needed values wherever a phase
+/// needs them rather than kept in a rows x d scratch array, which costs
+/// more to allocate and fill than the divisions it saves. Each phase runs
+/// in chunks on `pool` (nullptr = the shared pool).
 Status BuildCellSortedLayout(const NeededMatrix& raw, double step,
                              const AggregateOps& ops, ThreadPool* pool,
-                             PrepareMode mode, CellSortedLayout* out,
-                             PrepareBuildInfo* info = nullptr);
+                             CellSortedLayout* out);
 
 /// True when two layouts are identical bit for bit (keys, offsets, permuted
-/// matrix, states, unreachable count) — the invariant the parallel build
-/// guarantees; exposed for tests and the prepare bench.
+/// matrix, states, unreachable count); the oracle of the tests and the
+/// prepare bench.
 bool LayoutsBitIdentical(const CellSortedLayout& a, const CellSortedLayout& b);
 
 }  // namespace acquire

@@ -107,7 +107,6 @@ TEST(ChaosTest, ConcurrentClientsSurviveRandomFaults) {
                       "expand.layer_alloc=p:0.05;"
                       "exec.parallel_for=p:0.05;"
                       "index.batch_eval=p:0.05;"
-                      "index.parallel_prepare=p:0.05;"
                       "index.delta_merge=p:0.05")
                   .ok());
 
@@ -331,7 +330,6 @@ TEST(ChaosTest, StrategyFailpointsNeverChangeResults) {
   ASSERT_TRUE(registry
                   .ConfigureFromSpec(
                       "exec.parallel_for=p:0.5;index.batch_eval=p:0.5;"
-                      "index.parallel_prepare=p:0.5;"
                       "index.delta_merge=p:0.5")
                   .ok());
   Result<AcqOutcome> degraded = ProcessAcq(*planned, AcquireOptions{});
@@ -396,7 +394,6 @@ TEST(ChaosTest, CacheStaysBitExactUnderChaos) {
                       "expand.layer_alloc=p:0.05;"
                       "exec.parallel_for=p:0.05;"
                       "index.batch_eval=p:0.05;"
-                      "index.parallel_prepare=p:0.05;"
                       "index.delta_merge=p:0.05")
                   .ok());
 

@@ -24,6 +24,30 @@ TEST(PScoreLevelTest, UnreachableIsMinusOne) {
   EXPECT_EQ(PScoreLevel(std::numeric_limits<double>::infinity(), 3.0), -1);
 }
 
+TEST(PScoreLevelTest, MatchesCeilOfQuotient) {
+  // PScoreLevel computes the ceiling without std::ceil; it must agree with
+  // it on whole and fractional quotients, tiny ones and ones past 2^53.
+  Rng rng(3);
+  std::vector<std::pair<double, double>> cases = {
+      {std::numeric_limits<double>::denorm_min(), 3.0},
+      {std::numeric_limits<double>::epsilon(), 0.25},
+      {std::nextafter(6.0, 0.0), 3.0},
+      {std::nextafter(6.0, 7.0), 3.0},
+      {9007199254740993.0, 1.0},
+      {1e17, 3.0},
+      {0.3, 0.1}};
+  for (int k = 0; k < 10000; ++k) {
+    const double step = rng.NextDouble(0.01, 10.0);
+    cases.push_back({step * static_cast<double>(rng.NextInt(1, 1000)), step});
+    cases.push_back({rng.NextDouble(0.0, 1e6), step});
+  }
+  for (const auto& [needed, step] : cases) {
+    EXPECT_EQ(PScoreLevel(needed, step),
+              static_cast<int64_t>(std::ceil(needed / step)))
+        << needed << " / " << step;
+  }
+}
+
 TEST(CellRangeTest, InverseOfLevel) {
   PScoreRange r0 = CellRangeForLevel(0, 3.0);
   EXPECT_TRUE(r0.Admits(0.0));
