@@ -1,13 +1,16 @@
 // Ablation: the modular evaluation layer (Section 3). The same ACQUIRE
 // search on (1) the direct layer — every cell query is a fresh relation
 // scan, the faithful model of delegating execution to a DBMS without
-// indexes; (2) the cached layer — per-tuple refinement distances are
-// materialized once; (3) the Section 7.4 grid index — cell queries are
-// O(1) probes and empty cells are skipped without touching data.
+// indexes; (2) the materialized scan — per-tuple refinement distances are
+// materialized once and scanned serially; (3) the Section 7.4 grid index
+// (cell-sorted CSR layout) — a cell query is one binary search over the
+// populated cells, and empty cells are answered without touching data.
 
 #include <cstdio>
 
 #include "bench_util.h"
+#include "exec/parallel_evaluation.h"
+#include "index/cell_sorted.h"
 
 namespace acquire {
 namespace bench {
@@ -42,9 +45,9 @@ void Run() {
 
     DirectEvaluationLayer direct(&rt.task);
     run("direct-scan", &direct);
-    CachedEvaluationLayer cached(&rt.task);
-    run("cached-distances", &cached);
-    GridIndexEvaluationLayer indexed(&rt.task, space.step());
+    ParallelEvaluationLayer scan(&rt.task, /*pool=*/nullptr);
+    run("materialized-scan", &scan);
+    CellSortedEvaluationLayer indexed(&rt.task, space.step());
     run("grid-index", &indexed);
   }
   table.Print();

@@ -9,6 +9,7 @@
 
 #include "bench_util.h"
 #include "exec/approx_evaluation.h"
+#include "exec/parallel_evaluation.h"
 
 namespace acquire {
 namespace bench {
@@ -45,7 +46,7 @@ void Run() {
                   result->satisfied ? "yes" : "no"});
   };
 
-  CachedEvaluationLayer exact(&rt.task);
+  ParallelEvaluationLayer exact(&rt.task, /*pool=*/nullptr);
   run("exact (cached)", &exact);
   for (double rate : {0.2, 0.05, 0.01}) {
     SamplingEvaluationLayer sampled(&rt.task, rate);

@@ -42,7 +42,7 @@ void Run() {
     options.order = config.order;
     Stopwatch sw;
     RefinedSpace space(&rt.task, options.gamma, options.norm);
-    GridIndexEvaluationLayer layer(&rt.task, space.step());
+    CellSortedEvaluationLayer layer(&rt.task, space.step());
     Status prep = layer.Prepare();
     ACQ_CHECK(prep.ok()) << prep.ToString();
     auto result = RunAcquire(rt.task, &layer, options);

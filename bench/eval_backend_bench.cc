@@ -1,15 +1,19 @@
-// Evaluation-backend shootout: Direct / Cached / Parallel / GridIndex /
-// CellSorted over TPC-H-shaped lineitem data, across table sizes and
-// dimensionalities, on the three workloads ACQUIRE actually issues
-// (cell queries, aligned boxes, off-grid repartition probes). Also
+// Evaluation-layer shootout: the direct scan, the materialized scan
+// serial ("serial_scan") and pooled ("parallel"), and the cell-sorted grid
+// index over TPC-H-shaped lineitem data, across table sizes and
+// dimensionalities, on the three workloads ACQUIRE actually issues (cell
+// queries, aligned boxes, off-grid repartition probes). The headline
+// speedups compare the cell-sorted index with the serial scan. Also
 // measures what the persistent pool buys over spawning threads per box
-// query (the predecessor design) on repeated small boxes.
+// query on repeated small boxes.
 //
-// Emits one line of JSON on stdout (committed as BENCH_eval_backend.json);
-// human-readable progress goes to stderr. ACQ_BENCH_FULL=1 raises the top
-// table size to 10^6 rows.
+// Emits one line of JSON on stdout (committed as BENCH_eval_backend.json),
+// stamped with the machine and build it ran on; human-readable progress
+// goes to stderr. ACQ_BENCH_FULL=1 raises the top table size to 10^6
+// rows.
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,7 +21,7 @@
 #include "bench_util.h"
 #include "exec/eval_kernel.h"
 #include "exec/parallel_evaluation.h"
-#include "index/backend_factory.h"
+#include "index/cell_sorted.h"
 
 namespace acquire {
 namespace bench {
@@ -25,7 +29,7 @@ namespace {
 
 constexpr size_t kSpawnThreads = 4;
 
-/// The design CellSorted/Parallel replaced: a cached matrix whose every
+/// The design the pooled scan replaced: a materialized matrix whose every
 /// box query spawns fresh threads, pays their start-up cost, and joins
 /// them. Kept bench-local as the pool-vs-spawn baseline.
 class SpawnScanLayer {
@@ -103,11 +107,29 @@ double TimePerQueryMs(EvaluationLayer* layer,
   return ms / static_cast<double>(boxes.size());
 }
 
-size_t RepsFor(EvalBackend backend, const std::string& workload, size_t n) {
-  const bool indexed =
-      backend == EvalBackend::kGridIndex || backend == EvalBackend::kCellSorted;
-  if (backend == EvalBackend::kDirect) return 4;  // scans + recomputes
-  if (indexed && workload != "unaligned_box") return n >= 500000 ? 500 : 200;
+/// The layers under test, by the name the JSON reports them under.
+const std::vector<std::string> kLayers = {"direct", "serial_scan", "parallel",
+                                          "cellsorted"};
+
+std::unique_ptr<EvaluationLayer> MakeLayer(const std::string& name,
+                                           const AcqTask* task, double step) {
+  if (name == "direct") return std::make_unique<DirectEvaluationLayer>(task);
+  if (name == "serial_scan") {
+    return std::make_unique<ParallelEvaluationLayer>(task, nullptr);
+  }
+  if (name == "parallel") {
+    return std::make_unique<ParallelEvaluationLayer>(task,
+                                                     &ThreadPool::Shared());
+  }
+  return std::make_unique<CellSortedEvaluationLayer>(task, step);
+}
+
+size_t RepsFor(const std::string& layer, const std::string& workload,
+               size_t n) {
+  if (layer == "direct") return 4;  // scans + recomputes
+  if (layer == "cellsorted" && workload != "unaligned_box") {
+    return n >= 500000 ? 500 : 200;
+  }
   return n >= 500000 ? 12 : 40;  // matrix-scan cost per query
 }
 
@@ -125,13 +147,10 @@ int Main() {
   const std::vector<size_t> dims = {1, 2, 3, 4};
   const std::vector<std::string> workloads = {"aligned_cell", "aligned_box",
                                               "unaligned_box"};
-  const std::vector<EvalBackend> backends = {
-      EvalBackend::kDirect, EvalBackend::kCached, EvalBackend::kParallel,
-      EvalBackend::kGridIndex, EvalBackend::kCellSorted};
-
-  std::string json = "{\"bench\":\"eval_backend\",\"configs\":[";
+  std::string json = "{\"bench\":\"eval_backend\",\"machine\":" +
+                     MachineJson() + ",\"configs\":[";
   bool first_config = true;
-  double cached_cell_ms = 0.0, cached_box_ms = 0.0;
+  double scan_cell_ms = 0.0, scan_box_ms = 0.0;
   double sorted_cell_ms = 0.0, sorted_box_ms = 0.0;
 
   for (size_t n : sizes) {
@@ -147,26 +166,23 @@ int Main() {
       json += StringFormat("{\"n\":%zu,\"d\":%zu,\"backends\":{", n, d);
 
       bool first_backend = true;
-      for (EvalBackend backend : backends) {
-        BackendOptions options;
-        options.grid_step = step;
-        auto layer = MakeEvaluationLayer(&task, backend, options);
-        ACQ_CHECK(layer.ok()) << layer.status().ToString();
+      for (const std::string& name : kLayers) {
+        std::unique_ptr<EvaluationLayer> layer = MakeLayer(name, &task, step);
         Stopwatch prep;
-        ACQ_CHECK((*layer)->Prepare().ok());
+        ACQ_CHECK(layer->Prepare().ok());
         BackendRun run;
         run.prepare_ms = prep.ElapsedMillis();
         for (const std::string& workload : workloads) {
           auto boxes = MakeWorkload(workload, d, step,
-                                    RepsFor(backend, workload, n),
+                                    RepsFor(name, workload, n),
                                     n * 31 + d * 7);
-          run.per_query_ms[workload] = TimePerQueryMs(layer->get(), boxes);
+          run.per_query_ms[workload] = TimePerQueryMs(layer.get(), boxes);
         }
         if (n == sizes.back() && d == 3) {
-          if (backend == EvalBackend::kCached) {
-            cached_cell_ms = run.per_query_ms["aligned_cell"];
-            cached_box_ms = run.per_query_ms["aligned_box"];
-          } else if (backend == EvalBackend::kCellSorted) {
+          if (name == "serial_scan") {
+            scan_cell_ms = run.per_query_ms["aligned_cell"];
+            scan_box_ms = run.per_query_ms["aligned_box"];
+          } else if (name == "cellsorted") {
             sorted_cell_ms = run.per_query_ms["aligned_cell"];
             sorted_box_ms = run.per_query_ms["aligned_box"];
           }
@@ -176,7 +192,7 @@ int Main() {
         json += StringFormat(
             "\"%s\":{\"prepare_ms\":%.3f,\"aligned_cell_ms\":%.6f,"
             "\"aligned_box_ms\":%.6f,\"unaligned_box_ms\":%.6f}",
-            EvalBackendToString(backend), run.prepare_ms,
+            name.c_str(), run.prepare_ms,
             run.per_query_ms["aligned_cell"], run.per_query_ms["aligned_box"],
             run.per_query_ms["unaligned_box"]);
       }
@@ -192,7 +208,8 @@ int Main() {
   auto small_boxes = MakeWorkload("unaligned_box", 2, 5.0, 300, 99);
   SpawnScanLayer spawn(&small_ratio.task);
   ACQ_CHECK(spawn.Prepare().ok());
-  ParallelEvaluationLayer pooled(&small_ratio.task, kSpawnThreads);
+  ThreadPool pool(kSpawnThreads);
+  ParallelEvaluationLayer pooled(&small_ratio.task, &pool);
   ACQ_CHECK(pooled.Prepare().ok());
   Stopwatch spawn_sw;
   for (const auto& box : small_boxes) spawn.EvaluateBox(box);
@@ -204,15 +221,15 @@ int Main() {
   const double pool_ms = pool_sw.ElapsedMillis() / small_boxes.size();
 
   const double cell_speedup =
-      sorted_cell_ms > 0.0 ? cached_cell_ms / sorted_cell_ms : 0.0;
+      sorted_cell_ms > 0.0 ? scan_cell_ms / sorted_cell_ms : 0.0;
   const double box_speedup =
-      sorted_box_ms > 0.0 ? cached_box_ms / sorted_box_ms : 0.0;
+      sorted_box_ms > 0.0 ? scan_box_ms / sorted_box_ms : 0.0;
   json += StringFormat(
       "],\"pool_vs_spawn\":{\"n\":%zu,\"d\":2,\"spawn_ms\":%.6f,"
       "\"pool_ms\":%.6f,\"speedup_pool_vs_spawn\":%.2f},"
-      "\"speedup_cellsorted_vs_cached_cell\":%.2f,"
-      "\"speedup_cellsorted_vs_cached_box\":%.2f,"
-      "\"speedup_cellsorted_vs_cached\":%.2f}",
+      "\"speedup_cellsorted_vs_serial_scan_cell\":%.2f,"
+      "\"speedup_cellsorted_vs_serial_scan_box\":%.2f,"
+      "\"speedup_cellsorted_vs_serial_scan\":%.2f}",
       small_n, spawn_ms, pool_ms, pool_ms > 0.0 ? spawn_ms / pool_ms : 0.0,
       cell_speedup, box_speedup, std::min(cell_speedup, box_speedup));
   printf("%s\n", json.c_str());

@@ -8,7 +8,7 @@
 // times, alternating; the JSON gives the median and the min..max spread,
 // the batched drain cost per coordinate, each mode's peak aggregate-store
 // bytes, and the machine and build that produced it. The drain is what the
-// driver's merge_ms times: the Eq. 17 merges together with the
+// driver's drain_ms times: the Eq. 17 merges together with the
 // investigation of every coordinate (error function, best tracking, answer
 // building, overshoot repartitioning).
 //
@@ -35,7 +35,7 @@ struct ModeRun {
   std::vector<double> elapsed_ms;  // Prepare excluded
   std::vector<double> expand_ms;
   std::vector<double> explore_ms;
-  std::vector<double> drain_ms;  // ExecStats::merge_ms
+  std::vector<double> drain_ms;  // ExecStats::drain_ms
   uint64_t queries_explored = 0;
   uint64_t cell_queries = 0;
   uint64_t store_peak_bytes = 0;
@@ -50,7 +50,7 @@ void RunOnce(const AcqTask& task, EvaluationLayer* layer,
   run->elapsed_ms.push_back(result->elapsed_ms);
   run->expand_ms.push_back(result->exec_stats.expand_ms);
   run->explore_ms.push_back(result->exec_stats.explore_ms);
-  run->drain_ms.push_back(result->exec_stats.merge_ms);
+  run->drain_ms.push_back(result->exec_stats.drain_ms);
   run->queries_explored = result->queries_explored;
   run->cell_queries = result->cell_queries;
   run->store_peak_bytes = result->exec_stats.store_peak_bytes;

@@ -43,7 +43,7 @@ void Run() {
     options.delta = 0.05;
     Stopwatch sw;
     RefinedSpace space(&*task, options.gamma, options.norm);
-    GridIndexEvaluationLayer layer(&*task, space.step());
+    CellSortedEvaluationLayer layer(&*task, space.step());
     Status prep = layer.Prepare();
     ACQ_CHECK(prep.ok()) << prep.ToString();
     auto result = RunAcquire(*task, &layer, options);

@@ -66,7 +66,7 @@ BENCHMARK(BM_DirectBoxQuery);
 
 void BM_CachedBoxQuery(benchmark::State& state) {
   const AcqTask& task = SharedTask();
-  CachedEvaluationLayer layer(&task);
+  ParallelEvaluationLayer layer(&task, /*pool=*/nullptr);
   benchmark::DoNotOptimize(layer.Prepare());
   std::vector<PScoreRange> box(task.d(), PScoreRange{-1.0, 10.0});
   for (auto _ : state) {
@@ -80,7 +80,8 @@ BENCHMARK(BM_CachedBoxQuery);
 
 void BM_ParallelBoxQuery(benchmark::State& state) {
   const AcqTask& task = SharedTask();
-  ParallelEvaluationLayer layer(&task, static_cast<size_t>(state.range(0)));
+  ThreadPool pool(static_cast<size_t>(state.range(0)));
+  ParallelEvaluationLayer layer(&task, &pool);
   benchmark::DoNotOptimize(layer.Prepare());
   std::vector<PScoreRange> box(task.d(), PScoreRange{-1.0, 10.0});
   for (auto _ : state) {
@@ -92,10 +93,10 @@ void BM_ParallelBoxQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelBoxQuery)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-void BM_GridIndexCellProbe(benchmark::State& state) {
+void BM_CellSortedCellProbe(benchmark::State& state) {
   const AcqTask& task = SharedTask();
   RefinedSpace space(&task, 10.0, Norm::L1());
-  GridIndexEvaluationLayer layer(&task, space.step());
+  CellSortedEvaluationLayer layer(&task, space.step());
   benchmark::DoNotOptimize(layer.Prepare());
   auto cell = space.CellBox({1, 2, 0});
   for (auto _ : state) {
@@ -103,23 +104,23 @@ void BM_GridIndexCellProbe(benchmark::State& state) {
     benchmark::DoNotOptimize(result);
   }
 }
-BENCHMARK(BM_GridIndexCellProbe);
+BENCHMARK(BM_CellSortedCellProbe);
 
-void BM_GridIndexBuild(benchmark::State& state) {
+void BM_CellSortedBuild(benchmark::State& state) {
   const AcqTask& task = SharedTask();
   RefinedSpace space(&task, 10.0, Norm::L1());
   for (auto _ : state) {
-    GridIndexEvaluationLayer layer(&task, space.step());
+    CellSortedEvaluationLayer layer(&task, space.step());
     benchmark::DoNotOptimize(layer.Prepare());
   }
 }
-BENCHMARK(BM_GridIndexBuild);
+BENCHMARK(BM_CellSortedBuild);
 
 void BM_ExplorerLayerSweep(benchmark::State& state) {
   // Cost of incrementally evaluating the first N grid queries.
   const AcqTask& task = SharedTask();
   RefinedSpace space(&task, 10.0, Norm::L1());
-  GridIndexEvaluationLayer layer(&task, space.step());
+  CellSortedEvaluationLayer layer(&task, space.step());
   benchmark::DoNotOptimize(layer.Prepare());
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {

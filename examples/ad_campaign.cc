@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "core/acquire.h"
+#include "exec/parallel_evaluation.h"
 #include "sql/binder.h"
 #include "sql/printer.h"
 #include "workload/users_gen.h"
@@ -79,7 +80,7 @@ int main() {
   }
   printf("Campaign ACQ:\n%s\n\n", RenderOriginalSql(*task).c_str());
 
-  CachedEvaluationLayer layer(&*task);
+  ParallelEvaluationLayer layer(&*task, /*pool=*/nullptr);
   double audience =
       layer.EvaluateQueryValue(std::vector<double>(task->d(), 0.0))
           .value_or(0.0);

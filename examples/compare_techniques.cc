@@ -10,7 +10,7 @@
 #include "baselines/topk.h"
 #include "baselines/tqgen.h"
 #include "core/acquire.h"
-#include "index/grid_index.h"
+#include "index/cell_sorted.h"
 #include "workload/tpch_gen.h"
 #include "workload/workload.h"
 
@@ -44,7 +44,7 @@ int main() {
 
   {
     RefinedSpace space(&task, 10.0, Norm::L1());
-    GridIndexEvaluationLayer layer(&task, space.step());
+    CellSortedEvaluationLayer layer(&task, space.step());
     auto r = RunAcquire(task, &layer, {});
     if (r.ok() && !r->queries.empty()) {
       printf("%-12s %10.1f %10.4f %12.2f %10llu\n", "ACQUIRE",

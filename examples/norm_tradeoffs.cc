@@ -36,7 +36,7 @@ void RunWith(const char* label, const AcqTask& task_template,
   }
   task->constraint.target = task_template.constraint.target;
 
-  CachedEvaluationLayer layer(&*task);
+  ParallelEvaluationLayer layer(&*task, /*pool=*/nullptr);
   AcquireOptions options;
   options.norm = norm;
   options.order = SearchOrder::kBestFirst;  // exact order for every norm

@@ -12,6 +12,7 @@
 
 #include "core/acquire.h"
 #include "core/contract.h"
+#include "exec/parallel_evaluation.h"
 #include "sql/binder.h"
 #include "sql/printer.h"
 #include "workload/users_gen.h"
@@ -39,7 +40,7 @@ int main() {
   }
   printf("Outlier cohort ACQ:\n%s\n\n", RenderOriginalSql(*task).c_str());
 
-  CachedEvaluationLayer layer(&*task);
+  ParallelEvaluationLayer layer(&*task, /*pool=*/nullptr);
   auto result = RunAcquire(*task, &layer, {});
   if (!result.ok()) {
     fprintf(stderr, "%s\n", result.status().ToString().c_str());
@@ -64,7 +65,7 @@ int main() {
     fprintf(stderr, "planning failed: %s\n", wide.status().ToString().c_str());
     return 1;
   }
-  CachedEvaluationLayer wide_layer(&*wide);
+  ParallelEvaluationLayer wide_layer(&*wide, /*pool=*/nullptr);
   double matched =
       wide_layer.EvaluateQueryValue(std::vector<double>(wide->d(), 0.0))
           .value_or(0.0);
@@ -76,7 +77,7 @@ int main() {
     fprintf(stderr, "%s\n", contract_task.status().ToString().c_str());
     return 1;
   }
-  CachedEvaluationLayer contract_layer(&*contract_task);
+  ParallelEvaluationLayer contract_layer(&*contract_task, /*pool=*/nullptr);
   AcquireOptions copts;
   copts.gamma = 16.0;
   copts.delta = 0.05;

@@ -12,6 +12,7 @@
 
 #include "common/random.h"
 #include "core/acquire.h"
+#include "exec/parallel_evaluation.h"
 #include "sql/binder.h"
 #include "sql/printer.h"
 #include "storage/catalog.h"
@@ -61,7 +62,7 @@ int main() {
   }
   printf("Original ACQ:\n%s\n\n", RenderOriginalSql(*task).c_str());
 
-  CachedEvaluationLayer layer(&*task);
+  ParallelEvaluationLayer layer(&*task, /*pool=*/nullptr);
   AcquireOptions options;
   options.gamma = 10.0;  // proximity threshold (Definition 1b)
   options.delta = 0.05;  // aggregate error threshold (Definition 1a)

@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "core/acquire.h"
+#include "exec/parallel_evaluation.h"
 #include "sql/binder.h"
 #include "sql/printer.h"
 #include "workload/tpch_gen.h"
@@ -44,7 +45,7 @@ int main() {
   }
   printf("Procurement ACQ:\n%s\n\n", RenderOriginalSql(*task).c_str());
 
-  CachedEvaluationLayer layer(&*task);
+  ParallelEvaluationLayer layer(&*task, /*pool=*/nullptr);
   double available =
       layer.EvaluateQueryValue(std::vector<double>(task->d(), 0.0))
           .value_or(0.0);

@@ -9,7 +9,7 @@
 ///   acquire::Catalog catalog;                  // data
 ///   acquire::Binder binder(&catalog);          // ACQ SQL front end
 ///   auto task = binder.PlanSql("SELECT * ...CONSTRAINT...NOREFINE...");
-///   acquire::CachedEvaluationLayer layer(&*task);
+///   acquire::ParallelEvaluationLayer layer(&*task, /*pool=*/nullptr);
 ///   auto outcome = acquire::ProcessAcq(*task, &layer);
 ///
 /// Individual subsystem headers remain includable on their own.
@@ -21,14 +21,13 @@
 #include "exec/approx_evaluation.h"     // sampling / histogram layers
 #include "exec/backend.h"               // evaluation backend selection
 #include "exec/materialize.h"           // refined-query result tuples
-#include "exec/parallel_evaluation.h"   // multi-threaded evaluation
+#include "exec/parallel_evaluation.h"   // materialized-scan evaluation
 #include "exec/planner.h"               // programmatic QuerySpec API
 #include "exec/thread_pool.h"           // persistent worker pool
 #include "expr/custom_metric_dim.h"     // user-defined refinement metrics
 #include "expr/ontology.h"              // categorical roll-ups (Section 7.3)
 #include "index/backend_factory.h"      // EvalBackend -> layer
-#include "index/cell_sorted.h"          // CSR cell-sorted backend
-#include "index/grid_index.h"           // Section 7.4 grid index
+#include "index/cell_sorted.h"          // Section 7.4 grid index (CSR)
 #include "sql/binder.h"                 // SQL -> AcqTask
 #include "sql/explain.h"                // plan introspection
 #include "sql/printer.h"                // refined-query SQL rendering

@@ -174,10 +174,11 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
   uint64_t stall = 0;  // queries since the best error last improved
 
   // Per-phase driver timings (ExecStats doc): generator, sub-query
-  // execution, Eq. 17 merges + per-coordinate bookkeeping (batched only).
+  // execution, and the layer drain: Eq. 17 merges + investigate() per
+  // coordinate (batched only).
   double expand_ms = 0.0;
   double explore_ms = 0.0;
-  double merge_ms = 0.0;
+  double drain_ms = 0.0;
   uint64_t total_cell_queries = 0;
   size_t store_peak_bytes = 0;
 
@@ -292,8 +293,6 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
       snap->eval_queries = stats.queries;
       snap->tuples_scanned = stats.tuples_scanned;
       snap->prepare_ms = stats.prepare_ms;
-      snap->delta_rows = stats.delta_rows;
-      snap->delta_merges = stats.delta_merges;
     });
   };
 
@@ -383,7 +382,7 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
         explore_ms += t_batch.ElapsedMillis();
       }
 
-      Stopwatch t_merge;
+      Stopwatch t_drain;
       for (size_t q = 0; q < batch.layer().size(); ++q) {
         const GridCoord& coord = batch.layer()[q];
         double aggregate;
@@ -399,7 +398,7 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
           break;
         }
       }
-      merge_ms += t_merge.ElapsedMillis();
+      drain_ms += t_drain.ElapsedMillis();
       if (ctx != nullptr) {
         ctx->cell_queries.store(batch.cell_queries(),
                                 std::memory_order_relaxed);
@@ -435,7 +434,7 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
   result.exec_stats = layer->stats();
   result.exec_stats.expand_ms = expand_ms;
   result.exec_stats.explore_ms = explore_ms;
-  result.exec_stats.merge_ms = merge_ms;
+  result.exec_stats.drain_ms = drain_ms;
   result.exec_stats.store_peak_bytes = store_peak_bytes;
   result.elapsed_ms = sw.ElapsedMillis();
   return result;

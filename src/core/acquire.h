@@ -118,7 +118,7 @@ struct AcquireResult {
   uint64_t cell_queries = 0;      // cell sub-queries actually executed
 
   /// Evaluation-layer counters plus the driver's per-phase timings
-  /// (expand_ms / explore_ms / merge_ms; see ExecStats).
+  /// (expand_ms / explore_ms / drain_ms; see ExecStats).
   EvaluationLayer::ExecStats exec_stats;
 
   /// Monotonic wall time of the search itself (steady clock), excluding
@@ -131,9 +131,9 @@ struct AcquireResult {
 ///
 /// The evaluation layer is modular (Section 3): pass a
 /// DirectEvaluationLayer to model per-query DBMS execution, a
-/// CachedEvaluationLayer for the materialized-distances variant, or a
-/// GridIndexEvaluationLayer (Section 7.4) for O(1) cell queries. The layer
-/// must wrap the same task.
+/// ParallelEvaluationLayer for the materialized-distances variant, or a
+/// CellSortedEvaluationLayer (Section 7.4's grid index) for O(log cells)
+/// cell queries. The layer must wrap the same task.
 Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
                                  const AcquireOptions& options = {});
 

@@ -217,7 +217,7 @@ Result<AcquireResult> RunAcquireContract(const AcqTask& task,
   GridCoord coord(d);
   double expand_ms = 0.0;
   double explore_ms = 0.0;
-  double merge_ms = 0.0;
+  double drain_ms = 0.0;
   const bool batched = options.batch_explore != BatchExplore::kOff;
   std::vector<GridCoord> layer_coords;
   std::vector<std::vector<PScoreRange>> boxes;
@@ -298,7 +298,7 @@ Result<AcquireResult> RunAcquireContract(const AcqTask& task,
                            layer->EvaluateBoxes(boxes));
       explore_ms += t_batch.ElapsedMillis();
 
-      Stopwatch t_merge;
+      Stopwatch t_drain;
       for (size_t q = 0; q < layer_coords.size(); ++q) {
         auto [keep, hit] = visit_value(layer_coords[q],
                                        task.agg.ops->Final(states[q]));
@@ -308,7 +308,7 @@ Result<AcquireResult> RunAcquireContract(const AcqTask& task,
           break;
         }
       }
-      merge_ms += t_merge.ElapsedMillis();
+      drain_ms += t_drain.ElapsedMillis();
     } else {
       Stopwatch t_layer;
       keep_going = EnumerateLayer(
@@ -338,7 +338,7 @@ Result<AcquireResult> RunAcquireContract(const AcqTask& task,
   result.exec_stats = layer->stats();
   result.exec_stats.expand_ms = expand_ms;
   result.exec_stats.explore_ms = explore_ms;
-  result.exec_stats.merge_ms = merge_ms;
+  result.exec_stats.drain_ms = drain_ms;
   result.elapsed_ms = sw.ElapsedMillis();
   return result;
 }

@@ -62,8 +62,6 @@ struct ProgressSnapshot {
   uint64_t eval_queries = 0;
   uint64_t tuples_scanned = 0;
   double prepare_ms = 0.0;
-  uint64_t delta_rows = 0;
-  uint64_t delta_merges = 0;
 };
 
 /// Cooperative deadline + cancellation token + progress counters threaded

@@ -11,12 +11,8 @@ const char* EvalBackendToString(EvalBackend backend) {
       return "auto";
     case EvalBackend::kDirect:
       return "direct";
-    case EvalBackend::kCached:
-      return "cached";
     case EvalBackend::kParallel:
       return "parallel";
-    case EvalBackend::kGridIndex:
-      return "gridindex";
     case EvalBackend::kCellSorted:
       return "cellsorted";
   }
@@ -28,8 +24,7 @@ Result<EvalBackend> EvalBackendFromString(const std::string& name) {
   std::transform(lower.begin(), lower.end(), lower.begin(),
                  [](unsigned char c) { return std::tolower(c); });
   for (EvalBackend b :
-       {EvalBackend::kAuto, EvalBackend::kDirect, EvalBackend::kCached,
-        EvalBackend::kParallel, EvalBackend::kGridIndex,
+       {EvalBackend::kAuto, EvalBackend::kDirect, EvalBackend::kParallel,
         EvalBackend::kCellSorted}) {
     if (lower == EvalBackendToString(b)) return b;
   }

@@ -14,10 +14,8 @@ namespace acquire {
 enum class EvalBackend {
   kAuto,
   kDirect,     // scan + recompute per call ("Postgres mode")
-  kCached,     // materialized needed matrix, serial scan per call
   kParallel,   // materialized matrix, pool-chunked scan per call
-  kGridIndex,  // Section 7.4 hash-grid of per-cell aggregate states
-  kCellSorted, // CSR cell layout: binary search + contiguous fold
+  kCellSorted, // Section 7.4 grid index: CSR cell layout, binary search
 };
 
 const char* EvalBackendToString(EvalBackend backend);

@@ -15,18 +15,8 @@ constexpr size_t kMinRowsPerChunk = 4096;
 
 Status BuildNeededMatrix(const AcqTask& task, ThreadPool* pool,
                          NeededMatrix* out) {
-  return BuildNeededMatrixRows(task, 0, task.relation->num_rows(), pool, out);
-}
-
-Status BuildNeededMatrixRows(const AcqTask& task, size_t begin, size_t end,
-                             ThreadPool* pool, NeededMatrix* out) {
   const Table& rel = *task.relation;
-  if (begin > end || end > rel.num_rows()) {
-    return Status::InvalidArgument(
-        StringFormat("row range [%zu, %zu) out of bounds (relation has %zu "
-                     "rows)", begin, end, rel.num_rows()));
-  }
-  const size_t n = end - begin;
+  const size_t n = rel.num_rows();
   const size_t d = task.d();
   out->rows = n;
   out->dims = d;
@@ -40,11 +30,11 @@ Status BuildNeededMatrixRows(const AcqTask& task, size_t begin, size_t end,
       const RefinementDim& dim = *task.dims[i];
       double* col = out->mutable_dim(i);
       for (size_t row = lo; row < hi; ++row) {
-        col[row] = dim.NeededPScore(rel, begin + row);
+        col[row] = dim.NeededPScore(rel, row);
       }
     }
     for (size_t row = lo; row < hi; ++row) {
-      out->agg_values[row] = task.AggValue(begin + row);
+      out->agg_values[row] = task.AggValue(row);
     }
   };
   if (pool != nullptr) {

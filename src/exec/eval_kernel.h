@@ -18,15 +18,6 @@ namespace acquire {
 Status BuildNeededMatrix(const AcqTask& task, ThreadPool* pool,
                          NeededMatrix* out);
 
-/// Row-range variant for incremental index maintenance: builds the matrix of
-/// relation rows [begin, end) only (out->rows == end - begin, row r of the
-/// output is relation row begin + r). Per-dimension values are bit-identical
-/// to the corresponding rows of a full BuildNeededMatrix — PrecomputeNeeded
-/// is re-run first, so dimensions whose memoization depends on the relation
-/// see the appended rows too.
-Status BuildNeededMatrixRows(const AcqTask& task, size_t begin, size_t end,
-                             ThreadPool* pool, NeededMatrix* out);
-
 /// The one branchless predicate kernel behind every scanning layer.
 /// Narrows a selection vector by one dimension: select[k] &= range admits
 /// needed[k]. Callers start from an all-ones vector and apply each

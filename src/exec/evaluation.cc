@@ -4,7 +4,6 @@
 #include <cmath>
 #include <mutex>
 
-#include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "exec/eval_kernel.h"
 #include "exec/thread_pool.h"
@@ -164,26 +163,6 @@ Result<AggregateOps::State> DirectEvaluationLayer::EvaluateBox(
   AggregateOps::State state = ops.Init();
   FoldSelected(ops, stream.data(), select.data(), n, &state);
   return state;
-}
-
-Status CachedEvaluationLayer::Prepare() {
-  if (prepared_) return Status::OK();
-  Stopwatch prepare_sw;
-  ACQ_RETURN_IF_ERROR(BuildNeededMatrix(*task_, /*pool=*/nullptr, &matrix_));
-  ChargeBudget((matrix_.needed.size() + matrix_.agg_values.size()) *
-               sizeof(double));
-  prepare_ms_ += prepare_sw.ElapsedMillis();
-  prepared_ = true;
-  return Status::OK();
-}
-
-Result<AggregateOps::State> CachedEvaluationLayer::EvaluateBox(
-    const std::vector<PScoreRange>& box) {
-  if (!prepared_) ACQ_RETURN_IF_ERROR(Prepare());
-  ACQ_RETURN_IF_ERROR(CheckBox(box));
-  stats_.queries.fetch_add(1, std::memory_order_relaxed);
-  stats_.tuples_scanned.fetch_add(matrix_.rows, std::memory_order_relaxed);
-  return ScanBoxOverMatrix(*task_->agg.ops, matrix_, box);
 }
 
 }  // namespace acquire

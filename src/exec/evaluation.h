@@ -75,18 +75,20 @@ struct NeededMatrix {
 ///  * DirectEvaluationLayer — recomputes per-tuple refinement distances on
 ///    every call; each call models one SQL execution in the paper's
 ///    Postgres back end (cost: one full scan of the base relation).
-///  * CachedEvaluationLayer — materializes the tuple x dimension
-///    needed-PScore matrix once in Prepare(); calls still scan all tuples
-///    but skip predicate-function evaluation. Models a DBMS with a
-///    specialized access path.
-///  * ParallelEvaluationLayer (exec/parallel_evaluation.h) — the cached
-///    scan chunked across a persistent thread pool.
-///  * GridIndexEvaluationLayer (index/grid_index.h) — Section 7.4's bitmap
-///    grid index: cell-aligned boxes are answered in O(1).
-///  * CellSortedEvaluationLayer (index/cell_sorted.h) — rows counting-sorted
-///    into grid cells in a CSR layout: a cell query is one binary search
-///    plus a contiguous fold, an aligned box merges per-cell states in
-///    sorted key order.
+///  * ParallelEvaluationLayer (exec/parallel_evaluation.h) — materializes
+///    the tuple x dimension needed-PScore matrix once in Prepare(); calls
+///    still scan all tuples but skip predicate-function evaluation, serially
+///    or chunked across a thread pool. Models a DBMS with a specialized
+///    access path.
+///  * CellSortedEvaluationLayer (index/cell_sorted.h) — Section 7.4's grid
+///    index: rows counting-sorted into grid cells in a CSR layout, so a
+///    cell query is one binary search plus a precomputed per-cell state and
+///    an aligned box merges per-cell states in sorted key order.
+///
+/// The two materializing layers follow one growth rule: when the task's
+/// relation has grown past the rows they were prepared over, the next
+/// serial evaluate entry rebuilds them, and SupportsConcurrentEvaluate()
+/// stays false until it has.
 class EvaluationLayer {
  public:
   struct ExecStats {
@@ -95,13 +97,15 @@ class EvaluationLayer {
 
     /// Per-phase driver timings, filled by RunAcquire / RunAcquireContract
     /// (never by the layer itself): generator time, cell/box execution
-    /// time, and Eq. 17 merge time. The sequential explorer folds merges
-    /// into explore_ms; only the batched explorer splits merge_ms out, and
-    /// it overlaps expand with the other phases (layer prefetch), so the
-    /// three can sum past elapsed_ms.
+    /// time, and the batched explorer's drain time. drain_ms times each
+    /// layer's Eq. 17 merges together with the investigate() calls
+    /// interleaved with them, so it is not a pure merge figure. The
+    /// sequential explorer folds both into explore_ms; only the batched
+    /// explorer fills drain_ms, and it overlaps expand with the other
+    /// phases (layer prefetch), so the three can sum past elapsed_ms.
     double expand_ms = 0.0;
     double explore_ms = 0.0;
-    double merge_ms = 0.0;
+    double drain_ms = 0.0;
 
     /// Peak bytes (capacity) of the Explore phase's aggregate-state store,
     /// filled by RunAcquire: the hash store for the sequential explorer and
@@ -110,14 +114,10 @@ class EvaluationLayer {
     uint64_t store_peak_bytes = 0;
 
     /// Index build cost, filled by the layer itself: wall time spent inside
-    /// Prepare() (0 for layers with a no-op Prepare), rows currently staged
-    /// in the incremental-maintenance delta buffer, and how many times the
-    /// staged deltas were absorbed into the main layout (index/cell_sorted,
-    /// index/grid_index). Survives ResetStats — Prepare happens before the
-    /// driver resets the per-run query counters.
+    /// Prepare() and growth rebuilds (0 for layers with a no-op Prepare).
+    /// Survives ResetStats — Prepare happens before the driver resets the
+    /// per-run query counters.
     double prepare_ms = 0.0;
-    uint64_t delta_rows = 0;
-    uint64_t delta_merges = 0;
   };
 
   explicit EvaluationLayer(const AcqTask* task) : task_(task) {}
@@ -182,8 +182,6 @@ class EvaluationLayer {
     s.queries = stats_.queries.load(std::memory_order_relaxed);
     s.tuples_scanned = stats_.tuples_scanned.load(std::memory_order_relaxed);
     s.prepare_ms = prepare_ms_;
-    s.delta_rows = delta_rows_;
-    s.delta_merges = delta_merges_;
     return s;
   }
   void ResetStats() {
@@ -216,16 +214,24 @@ class EvaluationLayer {
     }
   }
 
+  /// Charges a prepared footprint of `bytes` less what earlier builds of
+  /// this layer already charged, so a growth rebuild pays only for the
+  /// growth.
+  void ChargePrepared(uint64_t bytes) {
+    if (bytes <= prepared_bytes_) return;
+    ChargeBudget(bytes - prepared_bytes_);
+    prepared_bytes_ = bytes;
+  }
+
   const AcqTask* task_;
   AtomicExecStats stats_;
   MemoryBudget* budget_ = nullptr;
   uint64_t pending_budget_bytes_ = 0;
-  /// Build-cost observability (see ExecStats): written by Prepare / the
-  /// delta-staging paths, which run before or between (never during)
-  /// concurrent evaluation, so plain fields suffice.
+  uint64_t prepared_bytes_ = 0;  // largest footprint ChargePrepared saw
+  /// Build-cost observability (see ExecStats): written by Prepare, which
+  /// runs before or between (never during) concurrent evaluation, so a
+  /// plain field suffices.
   double prepare_ms_ = 0.0;
-  uint64_t delta_rows_ = 0;
-  uint64_t delta_merges_ = 0;
 };
 
 /// Scan-per-call layer; see EvaluationLayer docs.
@@ -239,29 +245,6 @@ class DirectEvaluationLayer final : public EvaluationLayer {
 
  private:
   bool scratch_charged_ = false;  // per-call vectors, charged once
-};
-
-/// Needed-PScore-matrix layer; see EvaluationLayer docs.
-class CachedEvaluationLayer final : public EvaluationLayer {
- public:
-  explicit CachedEvaluationLayer(const AcqTask* task)
-      : EvaluationLayer(task) {}
-
-  Status Prepare() override;
-
-  Result<AggregateOps::State> EvaluateBox(
-      const std::vector<PScoreRange>& box) override;
-
-  /// Once the matrix is materialized, EvaluateBox only reads it.
-  bool SupportsConcurrentEvaluate() const override { return prepared_; }
-
-  /// The materialized tuple x dimension matrix (exposed for layers and
-  /// benches that build on the same materialization).
-  const NeededMatrix& matrix() const { return matrix_; }
-
- private:
-  bool prepared_ = false;
-  NeededMatrix matrix_;
 };
 
 /// Computes the needed-PScore vector of `row` under `task` (helper shared

@@ -1,32 +1,31 @@
 #include "exec/parallel_evaluation.h"
 
+#include "common/stopwatch.h"
 #include "exec/eval_kernel.h"
 
 namespace acquire {
 
 ParallelEvaluationLayer::ParallelEvaluationLayer(const AcqTask* task,
-                                                 size_t threads)
-    : EvaluationLayer(task) {
-  if (threads > 0) {
-    owned_pool_ = std::make_unique<ThreadPool>(threads);
-    pool_ = owned_pool_.get();
-  } else {
-    pool_ = &ThreadPool::Shared();
-  }
-}
+                                                 ThreadPool* pool)
+    : EvaluationLayer(task), pool_(pool) {}
 
 Status ParallelEvaluationLayer::Prepare() {
-  if (prepared_) return Status::OK();
+  if (Current()) return Status::OK();
+  Stopwatch prepare_sw;
+  prepared_ = false;
+  matrix_ = NeededMatrix{};
   ACQ_RETURN_IF_ERROR(BuildNeededMatrix(*task_, pool_, &matrix_));
-  ChargeBudget((matrix_.needed.size() + matrix_.agg_values.size()) *
-               sizeof(double));
+  ChargePrepared((matrix_.needed.size() + matrix_.agg_values.size()) *
+                 sizeof(double));
+  prepared_rows_ = matrix_.rows;
   prepared_ = true;
+  prepare_ms_ += prepare_sw.ElapsedMillis();
   return Status::OK();
 }
 
 Result<AggregateOps::State> ParallelEvaluationLayer::EvaluateBox(
     const std::vector<PScoreRange>& box) {
-  if (!prepared_) ACQ_RETURN_IF_ERROR(Prepare());
+  ACQ_RETURN_IF_ERROR(Prepare());
   ACQ_RETURN_IF_ERROR(CheckBox(box));
   stats_.queries.fetch_add(1, std::memory_order_relaxed);
   stats_.tuples_scanned.fetch_add(matrix_.rows, std::memory_order_relaxed);

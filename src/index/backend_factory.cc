@@ -4,7 +4,6 @@
 
 #include "exec/parallel_evaluation.h"
 #include "index/cell_sorted.h"
-#include "index/grid_index.h"
 
 namespace acquire {
 
@@ -26,15 +25,9 @@ Result<std::unique_ptr<EvaluationLayer>> MakeEvaluationLayer(
     case EvalBackend::kDirect:
       return std::unique_ptr<EvaluationLayer>(
           new DirectEvaluationLayer(task));
-    case EvalBackend::kCached:
-      return std::unique_ptr<EvaluationLayer>(
-          new CachedEvaluationLayer(task));
     case EvalBackend::kParallel:
       return std::unique_ptr<EvaluationLayer>(
-          new ParallelEvaluationLayer(task, options.threads));
-    case EvalBackend::kGridIndex:
-      return std::unique_ptr<EvaluationLayer>(
-          new GridIndexEvaluationLayer(task, ResolveStep(*task, options)));
+          new ParallelEvaluationLayer(task, &ThreadPool::Shared()));
     case EvalBackend::kAuto:
     case EvalBackend::kCellSorted:
       return std::unique_ptr<EvaluationLayer>(new CellSortedEvaluationLayer(

@@ -11,12 +11,10 @@ namespace acquire {
 
 /// Knobs the factory forwards to the backends that take them.
 struct BackendOptions {
-  /// Refined-space grid step for the grid-aware backends (GridIndex,
-  /// CellSorted). <= 0 picks 10.0 / d — the step AcquireOptions' default
-  /// gamma induces, so the aligned fast paths fire for default-driver runs.
+  /// Refined-space grid step for the cell-sorted backend. <= 0 picks
+  /// 10.0 / d — the step AcquireOptions' default gamma induces, so the
+  /// aligned fast paths fire for default-driver runs.
   double grid_step = 0.0;
-  /// Worker threads for the parallel backend; 0 uses the shared pool.
-  size_t threads = 0;
 };
 
 /// Constructs the evaluation layer for `backend` over `task` (which must

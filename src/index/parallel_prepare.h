@@ -12,8 +12,8 @@
 namespace acquire {
 
 /// The cell-sorted CSR layout (see index/cell_sorted.h for field semantics),
-/// kept apart from the layer so the build, the delta merge, the tests and
-/// the benches can all produce and compare the same structure.
+/// kept apart from the layer so the build, the tests and the benches can
+/// all produce and compare the same structure.
 ///
 /// The layout is canonical: cells sorted lexicographically, each cell's
 /// payload rows in relation order, per-cell states folded in payload order.

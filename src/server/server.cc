@@ -113,8 +113,6 @@ JsonValue ProgressFrameJson(const Session& session,
   frame.Set("eval_queries", num(snap.eval_queries));
   frame.Set("tuples_scanned", num(snap.tuples_scanned));
   frame.Set("prepare_ms", JsonValue::Number(snap.prepare_ms));
-  frame.Set("delta_rows", num(snap.delta_rows));
-  frame.Set("delta_merges", num(snap.delta_merges));
   JsonValue gov = JsonValue::Object();
   ResourceGovernor::TenantUsage usage;
   if (governor->Usage(manager, &usage)) {
@@ -741,13 +739,10 @@ JsonValue AcqServer::HandleStats(const JsonValue& request) {
   set("tuples_scanned", counters.tuples_scanned);
   // Index-build and live-ingestion tallies, folded across finished runs.
   // STATS-only: reports/envelopes never carry them, so cached replies stay
-  // byte-identical. Cumulative prepare wall time, rows staged into index
-  // delta buffers, delta-into-base merges, and APPEND activity.
+  // byte-identical. Cumulative prepare wall time and APPEND activity.
   stats.Set("prepare_ms",
             JsonValue::Number(static_cast<double>(counters.prepare_micros) /
                               1000.0));
-  set("delta_rows", counters.delta_rows);
-  set("delta_merges", counters.delta_merges);
   set("appends", counters.appends);
   set("append_rows", counters.append_rows);
   set("catalog_generation", manager.catalog().generation());

@@ -785,8 +785,6 @@ void SessionManager::RunSession(const SessionPtr& session, SessionPtr* next) {
         counters_.tuples_scanned += result.exec_stats.tuples_scanned;
         counters_.prepare_micros +=
             static_cast<uint64_t>(result.exec_stats.prepare_ms * 1000.0);
-        counters_.delta_rows += result.exec_stats.delta_rows;
-        counters_.delta_merges += result.exec_stats.delta_merges;
         counters_.run_micros +=
             static_cast<uint64_t>(result.elapsed_ms * 1000.0);
       }

@@ -143,11 +143,8 @@ struct ServerCounters {
   /// they bump only `submitted` plus this — no slot, no run, no `failed`.
   uint64_t cache_negative_served = 0;
   /// Index-build work folded across finished runs (ExecStats::prepare_ms in
-  /// microseconds) plus delta-maintenance activity (rows staged into index
-  /// delta buffers and buffer-into-base merges). STATS-only.
+  /// microseconds). STATS-only.
   uint64_t prepare_micros = 0;
-  uint64_t delta_rows = 0;
-  uint64_t delta_merges = 0;
   /// Live ingestion through SessionManager::AppendRows: successful APPEND
   /// batches and the rows they landed.
   uint64_t appends = 0;

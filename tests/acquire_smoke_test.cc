@@ -4,7 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "core/acquire.h"
-#include "index/grid_index.h"
+#include "exec/parallel_evaluation.h"
+#include "index/cell_sorted.h"
 #include "workload/tpch_gen.h"
 #include "workload/workload.h"
 
@@ -35,7 +36,7 @@ TEST_F(AcquireSmokeTest, CountConstraintIsMetWithinDelta) {
   EXPECT_GT(ratio_task->base_aggregate, 0.0);
   EXPECT_NEAR(task.constraint.target, ratio_task->base_aggregate / 0.4, 1e-6);
 
-  CachedEvaluationLayer layer(&task);
+  ParallelEvaluationLayer layer(&task, /*pool=*/nullptr);
   AcquireOptions opts;
   opts.delta = 0.05;
   auto result = RunAcquire(task, &layer, opts);
@@ -64,9 +65,9 @@ TEST_F(AcquireSmokeTest, AllEvaluationLayersAgree) {
 
   AcquireOptions opts;
   DirectEvaluationLayer direct(&task);
-  CachedEvaluationLayer cached(&task);
+  ParallelEvaluationLayer cached(&task, /*pool=*/nullptr);
   RefinedSpace space(&task, opts.gamma, opts.norm);
-  GridIndexEvaluationLayer indexed(&task, space.step());
+  CellSortedEvaluationLayer indexed(&task, space.step());
 
   auto r1 = RunAcquire(task, &direct, opts);
   auto r2 = RunAcquire(task, &cached, opts);
@@ -92,8 +93,8 @@ TEST_F(AcquireSmokeTest, IncrementalMatchesNaiveReexecution) {
   ASSERT_TRUE(ratio_task.ok());
   AcqTask& task = ratio_task->task;
 
-  CachedEvaluationLayer layer1(&task);
-  CachedEvaluationLayer layer2(&task);
+  ParallelEvaluationLayer layer1(&task, /*pool=*/nullptr);
+  ParallelEvaluationLayer layer2(&task, /*pool=*/nullptr);
   AcquireOptions incremental;
   AcquireOptions naive;
   naive.use_incremental = false;

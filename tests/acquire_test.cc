@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 #include <cmath>
 
+#include "exec/parallel_evaluation.h"
 #include "test_util.h"
 
 namespace acquire {
@@ -32,7 +33,7 @@ std::unique_ptr<test_util::SyntheticTask> CountFixture(size_t d,
 TEST(AcquireDriverTest, OriginAlreadySatisfiesTarget) {
   auto fixture = CountFixture(2, /*ratio=*/1.0);  // target == base aggregate
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer layer(&fixture->task);
+  ParallelEvaluationLayer layer(&fixture->task, /*pool=*/nullptr);
   auto result = RunAcquire(fixture->task, &layer, {});
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result->satisfied);
@@ -44,7 +45,7 @@ TEST(AcquireDriverTest, OriginAlreadySatisfiesTarget) {
 TEST(AcquireDriverTest, HitLayerIsFullyCollected) {
   auto fixture = CountFixture(2, 0.5);
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer layer(&fixture->task);
+  ParallelEvaluationLayer layer(&fixture->task, /*pool=*/nullptr);
   AcquireOptions options;
   options.delta = 0.2;  // generous so several same-layer queries qualify
   auto result = RunAcquire(fixture->task, &layer, options);
@@ -73,7 +74,7 @@ TEST(AcquireDriverTest, GreaterEqualConstraintUsesHinge) {
   double base = probe.EvaluateQueryValue({0.0, 0.0}).value();
   fixture->task.constraint.target = base * 1.8;
 
-  CachedEvaluationLayer layer(&fixture->task);
+  ParallelEvaluationLayer layer(&fixture->task, /*pool=*/nullptr);
   auto result = RunAcquire(fixture->task, &layer, {});
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result->satisfied);
@@ -92,7 +93,7 @@ TEST(AcquireDriverTest, RepartitionRecoversFromCoarseGrid) {
   // repartitioning must bisect inside the overshooting cell.
   auto fixture = CountFixture(1, 0.7);
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer layer(&fixture->task);
+  ParallelEvaluationLayer layer(&fixture->task, /*pool=*/nullptr);
   AcquireOptions options;
   options.gamma = 200.0;  // step 200 in 1-D: absurdly coarse
   options.delta = 0.02;
@@ -111,7 +112,7 @@ TEST(AcquireDriverTest, RepartitionRecoversFromCoarseGrid) {
 TEST(AcquireDriverTest, RepartitionDisabledFailsGracefully) {
   auto fixture = CountFixture(1, 0.7);
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer layer(&fixture->task);
+  ParallelEvaluationLayer layer(&fixture->task, /*pool=*/nullptr);
   AcquireOptions options;
   options.gamma = 200.0;
   options.delta = 0.02;
@@ -129,7 +130,7 @@ TEST(AcquireDriverTest, UnreachableTargetReturnsBestEffort) {
   // More tuples than the relation holds can never be reached.
   fixture->task.constraint.target =
       static_cast<double>(fixture->task.relation->num_rows()) * 10.0;
-  CachedEvaluationLayer layer(&fixture->task);
+  ParallelEvaluationLayer layer(&fixture->task, /*pool=*/nullptr);
   auto result = RunAcquire(fixture->task, &layer, {});
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->satisfied);
@@ -146,7 +147,7 @@ TEST(AcquireDriverTest, WeightedDimRefinesLess) {
     auto fixture = CountFixture(2, 0.4);
     EXPECT_NE(fixture, nullptr);
     fixture->task.dims[0]->set_weight(w0);
-    CachedEvaluationLayer layer(&fixture->task);
+    ParallelEvaluationLayer layer(&fixture->task, /*pool=*/nullptr);
     AcquireOptions options;
     options.order = SearchOrder::kBestFirst;  // exact weighted order
     auto result = RunAcquire(fixture->task, &layer, options);
@@ -166,8 +167,8 @@ TEST(AcquireDriverTest, CollectWithinGammaReturnsMoreAnswers) {
   narrow.delta = 0.1;
   AcquireOptions wide = narrow;
   wide.collect_within_gamma = true;
-  CachedEvaluationLayer l1(&fixture->task);
-  CachedEvaluationLayer l2(&fixture->task);
+  ParallelEvaluationLayer l1(&fixture->task, /*pool=*/nullptr);
+  ParallelEvaluationLayer l2(&fixture->task, /*pool=*/nullptr);
   auto r1 = RunAcquire(fixture->task, &l1, narrow);
   auto r2 = RunAcquire(fixture->task, &l2, wide);
   ASSERT_TRUE(r1.ok() && r2.ok());
@@ -178,7 +179,7 @@ TEST(AcquireDriverTest, CollectWithinGammaReturnsMoreAnswers) {
 TEST(AcquireDriverTest, LInfNormUsesShellSearch) {
   auto fixture = CountFixture(2, 0.6);
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer layer(&fixture->task);
+  ParallelEvaluationLayer layer(&fixture->task, /*pool=*/nullptr);
   AcquireOptions options;
   options.norm = Norm::LInf();
   auto result = RunAcquire(fixture->task, &layer, options);
@@ -192,8 +193,8 @@ TEST(AcquireDriverTest, LInfNormUsesShellSearch) {
 TEST(AcquireDriverTest, BestFirstFindsSameQualityAsBfsForL1) {
   auto fixture = CountFixture(3, 0.5);
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer l1(&fixture->task);
-  CachedEvaluationLayer l2(&fixture->task);
+  ParallelEvaluationLayer l1(&fixture->task, /*pool=*/nullptr);
+  ParallelEvaluationLayer l2(&fixture->task, /*pool=*/nullptr);
   AcquireOptions bfs;
   AcquireOptions best_first;
   best_first.order = SearchOrder::kBestFirst;
@@ -207,7 +208,7 @@ TEST(AcquireDriverTest, BestFirstFindsSameQualityAsBfsForL1) {
 TEST(AcquireDriverTest, CustomErrorFunctionIsHonored) {
   auto fixture = CountFixture(1, 0.5);
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer layer(&fixture->task);
+  ParallelEvaluationLayer layer(&fixture->task, /*pool=*/nullptr);
   AcquireOptions options;
   int calls = 0;
   options.error_fn = [&calls](const Constraint& c, double actual) {
@@ -222,7 +223,7 @@ TEST(AcquireDriverTest, CustomErrorFunctionIsHonored) {
 TEST(AcquireDriverTest, MaxExploredCapsTheSearch) {
   auto fixture = CountFixture(3, 0.2);
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer layer(&fixture->task);
+  ParallelEvaluationLayer layer(&fixture->task, /*pool=*/nullptr);
   AcquireOptions options;
   options.max_explored = 5;
   auto result = RunAcquire(fixture->task, &layer, options);
@@ -233,7 +234,7 @@ TEST(AcquireDriverTest, MaxExploredCapsTheSearch) {
 TEST(AcquireDriverTest, InvalidOptionsRejected) {
   auto fixture = CountFixture(1, 0.5);
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer layer(&fixture->task);
+  ParallelEvaluationLayer layer(&fixture->task, /*pool=*/nullptr);
   AcquireOptions bad_gamma;
   bad_gamma.gamma = 0.0;
   EXPECT_FALSE(RunAcquire(fixture->task, &layer, bad_gamma).ok());
@@ -248,7 +249,7 @@ TEST(AcquireDriverTest, MismatchedLayerRejected) {
   auto f2 = CountFixture(1, 0.5);
   ASSERT_NE(f1, nullptr);
   ASSERT_NE(f2, nullptr);
-  CachedEvaluationLayer layer(&f2->task);
+  ParallelEvaluationLayer layer(&f2->task, /*pool=*/nullptr);
   EXPECT_FALSE(RunAcquire(f1->task, &layer, {}).ok());
 }
 

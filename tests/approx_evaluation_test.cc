@@ -5,6 +5,7 @@
 
 #include "core/acquire.h"
 #include "exec/materialize.h"
+#include "exec/parallel_evaluation.h"
 #include "test_util.h"
 
 namespace acquire {
@@ -157,7 +158,7 @@ TEST(MaterializeTest, TuplesMatchReportedAggregate) {
   DirectEvaluationLayer probe(&fixture->task);
   double base = probe.EvaluateQueryValue({0.0, 0.0}).value();
   fixture->task.constraint.target = base * 1.7;
-  CachedEvaluationLayer layer(&fixture->task);
+  ParallelEvaluationLayer layer(&fixture->task, /*pool=*/nullptr);
   auto result = RunAcquire(fixture->task, &layer, {});
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result->satisfied);

@@ -5,6 +5,7 @@
 #include "baselines/topk.h"
 #include "baselines/tqgen.h"
 #include "core/acquire.h"
+#include "exec/parallel_evaluation.h"
 #include "test_util.h"
 
 namespace acquire {
@@ -60,7 +61,7 @@ TEST(TopKTest, RefinementIsAtLeastAcquires) {
   ASSERT_NE(fixture, nullptr);
   auto topk = RunTopK(fixture->task, Norm::L1());
   ASSERT_TRUE(topk.ok());
-  CachedEvaluationLayer layer(&fixture->task);
+  ParallelEvaluationLayer layer(&fixture->task, /*pool=*/nullptr);
   auto acq = RunAcquire(fixture->task, &layer, {});
   ASSERT_TRUE(acq.ok() && acq->satisfied);
   EXPECT_GE(topk->qscore, acq->queries[0].qscore * 0.5);
@@ -180,7 +181,7 @@ TEST(BaselineComparisonTest, AcquireRefinementIsCompetitive) {
   // Headline claim: ACQUIRE's refinement scores beat the baselines'.
   auto fixture = CountFixture(3, 0.4, /*seed=*/7);
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer acq_layer(&fixture->task);
+  ParallelEvaluationLayer acq_layer(&fixture->task, /*pool=*/nullptr);
   auto acq = RunAcquire(fixture->task, &acq_layer, {});
   ASSERT_TRUE(acq.ok() && acq->satisfied);
   DirectEvaluationLayer tq_layer(&fixture->task);

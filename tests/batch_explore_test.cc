@@ -20,14 +20,14 @@
 namespace acquire {
 namespace {
 
+using test_util::FourWorkerPool;
 using test_util::MakeSyntheticTask;
 using test_util::SyntheticOptions;
 
 enum class LayerKind {
   kDirect,
-  kCached,
-  kParallel,
-  kGridIndex,
+  kCached,    // materialized scan, serial
+  kParallel,  // materialized scan, pool-chunked
   kCellSorted,
 };
 
@@ -39,8 +39,6 @@ const char* LayerName(LayerKind kind) {
       return "Cached";
     case LayerKind::kParallel:
       return "Parallel";
-    case LayerKind::kGridIndex:
-      return "GridIndex";
     case LayerKind::kCellSorted:
       return "CellSorted";
   }
@@ -53,11 +51,10 @@ std::unique_ptr<EvaluationLayer> MakeLayer(LayerKind kind, const AcqTask* task,
     case LayerKind::kDirect:
       return std::make_unique<DirectEvaluationLayer>(task);
     case LayerKind::kCached:
-      return std::make_unique<CachedEvaluationLayer>(task);
+      return std::make_unique<ParallelEvaluationLayer>(task, nullptr);
     case LayerKind::kParallel:
-      return std::make_unique<ParallelEvaluationLayer>(task, 4);
-    case LayerKind::kGridIndex:
-      return std::make_unique<GridIndexEvaluationLayer>(task, step);
+      return std::make_unique<ParallelEvaluationLayer>(task,
+                                                       &FourWorkerPool());
     case LayerKind::kCellSorted:
       return std::make_unique<CellSortedEvaluationLayer>(task, step);
   }
@@ -144,7 +141,6 @@ INSTANTIATE_TEST_SUITE_P(
                                          SearchOrder::kBestFirst),
                        ::testing::Values(LayerKind::kDirect, LayerKind::kCached,
                                          LayerKind::kParallel,
-                                         LayerKind::kGridIndex,
                                          LayerKind::kCellSorted)),
     [](const auto& info) {
       return std::string(OrderName(std::get<0>(info.param))) + "_" +
@@ -161,8 +157,8 @@ TEST(BatchExploreTest, CollectWithinGammaMatches) {
   topt.target = 900.0;
   auto fixture = MakeSyntheticTask(topt);
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer seq_layer(&fixture->task);
-  CachedEvaluationLayer bat_layer(&fixture->task);
+  ParallelEvaluationLayer seq_layer(&fixture->task, /*pool=*/nullptr);
+  ParallelEvaluationLayer bat_layer(&fixture->task, /*pool=*/nullptr);
 
   AcquireOptions options;
   options.gamma = 10.0;
@@ -187,8 +183,8 @@ TEST(BatchExploreTest, NonIncrementalAblationMatches) {
   topt.target = 480.0;
   auto fixture = MakeSyntheticTask(topt);
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer seq_layer(&fixture->task);
-  CachedEvaluationLayer bat_layer(&fixture->task);
+  ParallelEvaluationLayer seq_layer(&fixture->task, /*pool=*/nullptr);
+  ParallelEvaluationLayer bat_layer(&fixture->task, /*pool=*/nullptr);
 
   AcquireOptions options;
   options.gamma = 10.0;
@@ -214,10 +210,10 @@ TEST(BatchExploreTest, BestFirstAutoBatchesAndMatchesSequential) {
   ASSERT_NE(fixture, nullptr);
   AcquireOptions options;
   options.order = SearchOrder::kBestFirst;
-  CachedEvaluationLayer seq_layer(&fixture->task);
+  ParallelEvaluationLayer seq_layer(&fixture->task, /*pool=*/nullptr);
   options.batch_explore = BatchExplore::kOff;
   auto seq = RunAcquire(fixture->task, &seq_layer, options);
-  CachedEvaluationLayer bat_layer(&fixture->task);
+  ParallelEvaluationLayer bat_layer(&fixture->task, /*pool=*/nullptr);
   options.batch_explore = BatchExplore::kAuto;
   auto bat = RunAcquire(fixture->task, &bat_layer, options);
   ASSERT_TRUE(seq.ok() && bat.ok());
@@ -240,10 +236,10 @@ TEST(BatchExploreTest, ContractionBatchedMatchesSequential) {
   options.gamma = 10.0;
   options.delta = 0.02;
   options.batch_explore = BatchExplore::kOff;
-  CachedEvaluationLayer seq_layer(&fixture->task);
+  ParallelEvaluationLayer seq_layer(&fixture->task, /*pool=*/nullptr);
   auto seq = ProcessAcq(fixture->task, &seq_layer, options);
   options.batch_explore = BatchExplore::kOn;
-  CachedEvaluationLayer bat_layer(&fixture->task);
+  ParallelEvaluationLayer bat_layer(&fixture->task, /*pool=*/nullptr);
   auto bat = ProcessAcq(fixture->task, &bat_layer, options);
   ASSERT_TRUE(seq.ok() && bat.ok());
   ASSERT_EQ(seq->mode, AcqMode::kContracted);
@@ -258,14 +254,14 @@ TEST(BatchExploreTest, PhaseTimingsAreReported) {
   topt.target = 900.0;
   auto fixture = MakeSyntheticTask(topt);
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer layer(&fixture->task);
+  ParallelEvaluationLayer layer(&fixture->task, /*pool=*/nullptr);
   AcquireOptions options;
   options.batch_explore = BatchExplore::kOn;
   auto result = RunAcquire(fixture->task, &layer, options);
   ASSERT_TRUE(result.ok());
   EXPECT_GE(result->exec_stats.expand_ms, 0.0);
   EXPECT_GT(result->exec_stats.explore_ms, 0.0);
-  EXPECT_GE(result->exec_stats.merge_ms, 0.0);
+  EXPECT_GE(result->exec_stats.drain_ms, 0.0);
   EXPECT_GE(result->elapsed_ms,
             0.0);  // monotonic stopwatch can never go negative
 }
@@ -285,7 +281,7 @@ TEST(BatchExploreTest, BfsStorePeaksAtTwoLayersPlusRankTable) {
   AcquireOptions options;
   options.gamma = 120.0;  // step 30: a 9^4 grid, 33 layers
   options.order = SearchOrder::kBfs;
-  CachedEvaluationLayer layer(&fixture->task);
+  ParallelEvaluationLayer layer(&fixture->task, /*pool=*/nullptr);
   options.batch_explore = BatchExplore::kOff;
   auto seq = RunAcquire(fixture->task, &layer, options);
   options.batch_explore = BatchExplore::kOn;
@@ -375,7 +371,7 @@ TEST(BatchExploreTest, TruncatedBfsLayerEndsTheRun) {
   auto fixture = MakeSyntheticTask(topt);
   ASSERT_NE(fixture, nullptr);
   RefinedSpace space(&fixture->task, 12.0, Norm::L1());
-  CachedEvaluationLayer layer(&fixture->task);
+  ParallelEvaluationLayer layer(&fixture->task, /*pool=*/nullptr);
   ASSERT_TRUE(layer.Prepare().ok());
   Explorer reference(&space, &layer);
 
@@ -470,7 +466,7 @@ TEST(BatchExploreTest, FinishJoinsInFlightPrefetchBeforeStatsRead) {
   auto fixture = MakeSyntheticTask(topt);
   ASSERT_NE(fixture, nullptr);
   RefinedSpace space(&fixture->task, 12.0, Norm::L1());
-  CachedEvaluationLayer layer(&fixture->task);
+  ParallelEvaluationLayer layer(&fixture->task, /*pool=*/nullptr);
   ParkingGenerator generator(&space);
   RunContext ctx;
   BatchExplorer batch(&space, &layer, &generator, SearchOrder::kBfs, &ctx);

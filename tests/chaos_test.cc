@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -81,6 +82,32 @@ void ExpectWellFormed(const JsonValue& response) {
   }
 }
 
+// Evaluation counts of every registered failpoint site, by name.
+std::map<std::string, uint64_t> SiteEvaluations() {
+  std::map<std::string, uint64_t> evaluations;
+  for (const FailpointRegistry::SiteInfo& site :
+       FailpointRegistry::Global().List()) {
+    evaluations[site.name] = site.evaluations;
+  }
+  return evaluations;
+}
+
+// Every site a chaos spec arms must have been evaluated by the mix since
+// `before` was taken; a site no code path reaches any more would
+// otherwise sit in the spec and test nothing.
+void ExpectEverySiteReached(const std::string& spec,
+                            const std::map<std::string, uint64_t>& before) {
+  const std::map<std::string, uint64_t> after = SiteEvaluations();
+  for (const std::string& entry : Split(spec, ';')) {
+    const std::string name = entry.substr(0, entry.find('='));
+    auto was = before.find(name);
+    auto now = after.find(name);
+    ASSERT_NE(now, after.end()) << name;
+    EXPECT_GT(now->second, was == before.end() ? 0u : was->second)
+        << name << " was armed but never evaluated";
+  }
+}
+
 TEST(ChaosTest, ConcurrentClientsSurviveRandomFaults) {
   if (!FailpointRegistry::compiled_in()) {
     GTEST_SKIP() << "failpoints compiled out";
@@ -97,18 +124,17 @@ TEST(ChaosTest, ConcurrentClientsSurviveRandomFaults) {
   ASSERT_TRUE(server.Start().ok());
 
   // Every instrumented seam, all at once.
-  ASSERT_TRUE(registry
-                  .ConfigureFromSpec(
-                      "server.recv=p:0.05;server.send=p:0.05;"
-                      "server.parse=p:0.05;server.admit=p:0.05;"
-                      "server.pool_enqueue=p:0.05;"
-                      "server.progress_emit=p:0.05;"
-                      "explore.arena_grow=p:0.05;"
-                      "expand.layer_alloc=p:0.05;"
-                      "exec.parallel_for=p:0.05;"
-                      "index.batch_eval=p:0.05;"
-                      "index.delta_merge=p:0.05")
-                  .ok());
+  const std::string spec =
+      "server.recv=p:0.05;server.send=p:0.05;"
+      "server.parse=p:0.05;server.admit=p:0.05;"
+      "server.pool_enqueue=p:0.05;"
+      "server.progress_emit=p:0.05;"
+      "explore.arena_grow=p:0.05;"
+      "expand.layer_alloc=p:0.05;"
+      "exec.parallel_for=p:0.05;"
+      "index.batch_eval=p:0.05";
+  const std::map<std::string, uint64_t> before = SiteEvaluations();
+  ASSERT_TRUE(registry.ConfigureFromSpec(spec).ok());
 
   const int iters = IterationsPerClient();
   std::atomic<int> well_formed{0};
@@ -178,6 +204,7 @@ TEST(ChaosTest, ConcurrentClientsSurviveRandomFaults) {
   // The chaos actually exercised the sites, and most calls still got a
   // well-formed answer through the retry layer.
   EXPECT_GT(registry.TotalHits(), 0u);
+  ExpectEverySiteReached(spec, before);
   EXPECT_GT(well_formed.load(), 0);
 
   // With the faults disarmed the server must serve normally again,
@@ -311,10 +338,9 @@ TEST(ChaosTest, SingleInjectedArenaFaultDoesNotPoisonLaterRuns) {
   EXPECT_EQ(clean_report->GetString("termination"), "completed");
 }
 
-// The strategy failpoints (serial ParallelFor fallback, generic batch
-// evaluation fallback, per-layer sequential merge fallback) change only how
-// work is executed, never what it computes: a run with them firing half the
-// time is bit-identical to a clean run.
+// The strategy failpoint (generic batch evaluation fallback) changes only
+// how work is executed, never what it computes: a run with it firing half
+// the time is bit-identical to a clean run.
 TEST(ChaosTest, StrategyFailpointsNeverChangeResults) {
   if (!FailpointRegistry::compiled_in()) {
     GTEST_SKIP() << "failpoints compiled out";
@@ -327,13 +353,14 @@ TEST(ChaosTest, StrategyFailpointsNeverChangeResults) {
   Result<AcqOutcome> clean = ProcessAcq(*planned, AcquireOptions{});
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
 
-  ASSERT_TRUE(registry
-                  .ConfigureFromSpec(
-                      "exec.parallel_for=p:0.5;index.batch_eval=p:0.5;"
-                      "index.delta_merge=p:0.5")
-                  .ok());
+  // exec.parallel_for is left out: this task's batches and builds are too
+  // small to split, so ParallelFor never reaches the site.
+  const std::string spec = "index.batch_eval=p:0.5";
+  const std::map<std::string, uint64_t> before = SiteEvaluations();
+  ASSERT_TRUE(registry.ConfigureFromSpec(spec).ok());
   Result<AcqOutcome> degraded = ProcessAcq(*planned, AcquireOptions{});
   registry.DisarmAll();
+  ExpectEverySiteReached(spec, before);
   ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
 
   EXPECT_EQ(degraded->result.termination, clean->result.termination);
@@ -385,17 +412,16 @@ TEST(ChaosTest, CacheStaysBitExactUnderChaos) {
   AcqServer server(SharedCatalog(), options);
   ASSERT_TRUE(server.Start().ok());
 
-  ASSERT_TRUE(registry
-                  .ConfigureFromSpec(
-                      "server.recv=p:0.05;server.send=p:0.05;"
-                      "server.parse=p:0.05;server.admit=p:0.05;"
-                      "server.pool_enqueue=p:0.05;server.run=p:0.05;"
-                      "explore.arena_grow=p:0.05;"
-                      "expand.layer_alloc=p:0.05;"
-                      "exec.parallel_for=p:0.05;"
-                      "index.batch_eval=p:0.05;"
-                      "index.delta_merge=p:0.05")
-                  .ok());
+  const std::string spec =
+      "server.recv=p:0.05;server.send=p:0.05;"
+      "server.parse=p:0.05;server.admit=p:0.05;"
+      "server.pool_enqueue=p:0.05;server.run=p:0.05;"
+      "explore.arena_grow=p:0.05;"
+      "expand.layer_alloc=p:0.05;"
+      "exec.parallel_for=p:0.05;"
+      "index.batch_eval=p:0.05";
+  const std::map<std::string, uint64_t> before = SiteEvaluations();
+  ASSERT_TRUE(registry.ConfigureFromSpec(spec).ok());
 
   const int iters = IterationsPerClient();
   std::atomic<int> well_formed{0};
@@ -425,6 +451,7 @@ TEST(ChaosTest, CacheStaysBitExactUnderChaos) {
   }
   for (std::thread& thread : clients) thread.join();
   EXPECT_GT(registry.TotalHits(), 0u);
+  ExpectEverySiteReached(spec, before);
   EXPECT_GT(well_formed.load(), 0);
   registry.DisarmAll();
 

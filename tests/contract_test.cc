@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <cmath>
 
+#include "exec/parallel_evaluation.h"
 #include "test_util.h"
 
 namespace acquire {
@@ -82,7 +83,7 @@ TEST(RunAcquireContractTest, ShrinksCountToTarget) {
   ASSERT_NE(fixture, nullptr);
   auto contract = MakeContractionTask(fixture->task);
   ASSERT_TRUE(contract.ok());
-  CachedEvaluationLayer layer(&*contract);
+  ParallelEvaluationLayer layer(&*contract, /*pool=*/nullptr);
   AcquireOptions options;
   options.gamma = 16.0;  // step 8 keeps the bounded grid small
   options.delta = 0.1;
@@ -108,7 +109,7 @@ TEST(RunAcquireContractTest, MinimalContractionComesFirst) {
   ASSERT_NE(fixture, nullptr);
   auto contract = MakeContractionTask(fixture->task);
   ASSERT_TRUE(contract.ok());
-  CachedEvaluationLayer layer(&*contract);
+  ParallelEvaluationLayer layer(&*contract, /*pool=*/nullptr);
   AcquireOptions options;
   options.gamma = 5.0;
   options.delta = 0.1;
@@ -130,7 +131,7 @@ TEST(RunAcquireContractTest, RepartitionRecoversFromCoarseGrid) {
   ASSERT_NE(fixture, nullptr);
   auto contract = MakeContractionTask(fixture->task);
   ASSERT_TRUE(contract.ok());
-  CachedEvaluationLayer layer(&*contract);
+  ParallelEvaluationLayer layer(&*contract, /*pool=*/nullptr);
   AcquireOptions options;
   options.gamma = 25.0;  // step 25 in 1-D: guaranteed to overshoot
   options.delta = 0.02;
@@ -152,7 +153,7 @@ TEST(RunAcquireContractTest, RejectsNonEqualityConstraints) {
   auto contract = MakeContractionTask(fixture->task);
   ASSERT_TRUE(contract.ok());
   contract->constraint.op = ConstraintOp::kGe;
-  CachedEvaluationLayer layer(&*contract);
+  ParallelEvaluationLayer layer(&*contract, /*pool=*/nullptr);
   EXPECT_TRUE(RunAcquireContract(*contract, &layer, {}).status().IsUnsupported());
 }
 

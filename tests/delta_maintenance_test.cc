@@ -1,22 +1,23 @@
-// Incremental delta maintenance of the index backends: rows appended to
-// the relation after Prepare() must be answered bit-identically to a full
-// rebuild over the grown relation — on every query shape (cell probe,
-// aligned box, off-grid scan, batched cells) and whether the rows are
-// still staged in the delta buffer or already merged into the base layout.
+// The growth rule of the materializing evaluation layers: rows appended to
+// the relation after Prepare() must be answered bit-identically to a layer
+// freshly built over the grown relation — on every query shape (cell
+// probe, aligned box, off-grid scan, batched cells), for every aggregate
+// kind, by the serial scan, the pooled scan and the cell-sorted index.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "acquire.h"
-#include "common/failpoint.h"
 #include "common/random.h"
 #include "test_util.h"
 
 namespace acquire {
 namespace {
 
+using test_util::FourWorkerPool;
 using test_util::MakeSyntheticTask;
 using test_util::SyntheticOptions;
 
@@ -89,10 +90,31 @@ void ExpectBitIdenticalAnswers(EvaluationLayer* layer,
   }
 }
 
-TEST(DeltaMaintenanceTest, CellSortedStagedDeltasMatchFullRebuild) {
+enum class LayerKind { kSerialScan, kPooledScan, kCellSorted };
+
+std::unique_ptr<EvaluationLayer> MakeLayer(LayerKind kind, const AcqTask* task,
+                                           double step) {
+  switch (kind) {
+    case LayerKind::kSerialScan:
+      return std::make_unique<ParallelEvaluationLayer>(task, nullptr);
+    case LayerKind::kPooledScan:
+      return std::make_unique<ParallelEvaluationLayer>(task,
+                                                       &FourWorkerPool());
+    case LayerKind::kCellSorted:
+      return std::make_unique<CellSortedEvaluationLayer>(task, step,
+                                                         &FourWorkerPool());
+  }
+  return nullptr;
+}
+
+// Prepares a layer of `kind`, grows the relation in three appends with
+// queries in between, and after each append compares every answer with a
+// layer freshly built over the grown relation.
+void ExpectGrowthMatchesFreshLayer(LayerKind kind) {
   for (AggregateKind agg :
        {AggregateKind::kCount, AggregateKind::kSum, AggregateKind::kAvg,
         AggregateKind::kMin, AggregateKind::kMax}) {
+    SCOPED_TRACE(AggregateKindToString(agg));
     SyntheticOptions options;
     options.d = 2;
     options.rows = 8000;
@@ -101,244 +123,46 @@ TEST(DeltaMaintenanceTest, CellSortedStagedDeltasMatchFullRebuild) {
     ASSERT_NE(fixture, nullptr);
     const double step = 5.0;
 
-    CellSortedEvaluationLayer layer(&fixture->task, step);
-    ASSERT_TRUE(layer.Prepare().ok());
-    ASSERT_TRUE(AppendToFixture(fixture.get(), 500, 99).ok());
+    MemoryBudget budget;
+    std::unique_ptr<EvaluationLayer> layer =
+        MakeLayer(kind, &fixture->task, step);
+    layer->set_memory_budget(&budget);
+    ASSERT_TRUE(layer->Prepare().ok());
+    const double first_prepare_ms = layer->stats().prepare_ms;
 
-    // Below the auto threshold (max(4096, rows/8)): the appended rows must
-    // stay staged, not trigger a rebuild/merge.
-    std::vector<PScoreRange> probe = {CellRangeForLevel(2, step),
-                                      CellRangeForLevel(3, step)};
-    ASSERT_TRUE(layer.EvaluateBox(probe).ok());
-    EXPECT_EQ(layer.consumed_rows(), options.rows + 500);
-    EXPECT_GT(layer.staged_delta_rows(), 0u);
-    EXPECT_GT(layer.stats().delta_rows, 0u);
-    EXPECT_EQ(layer.stats().delta_merges, 0u);
+    for (uint64_t round = 0; round < 3; ++round) {
+      SCOPED_TRACE(round);
+      ASSERT_TRUE(AppendToFixture(fixture.get(), 500, 99 + round).ok());
+      // Stale until the next serial evaluate entry has rebuilt it.
+      EXPECT_FALSE(layer->SupportsConcurrentEvaluate());
 
-    CellSortedEvaluationLayer rebuilt(&fixture->task, step);
-    ASSERT_TRUE(rebuilt.Prepare().ok());
-    ExpectBitIdenticalAnswers(&layer, &rebuilt, step);
+      MemoryBudget fresh_budget;
+      std::unique_ptr<EvaluationLayer> fresh =
+          MakeLayer(kind, &fixture->task, step);
+      fresh->set_memory_budget(&fresh_budget);
+      ASSERT_TRUE(fresh->Prepare().ok());
+      ExpectBitIdenticalAnswers(layer.get(), fresh.get(), step);
+
+      EXPECT_EQ(layer->SupportsConcurrentEvaluate(),
+                fresh->SupportsConcurrentEvaluate());
+      // The rebuild charged the growth only: the running total equals the
+      // fresh layer's footprint, not the sum of both builds.
+      EXPECT_EQ(budget.used(), fresh_budget.used());
+    }
+    EXPECT_GT(layer->stats().prepare_ms, first_prepare_ms);
   }
 }
 
-TEST(DeltaMaintenanceTest, CellSortedMergeMatchesFullRebuild) {
-  SyntheticOptions options;
-  options.d = 2;
-  options.rows = 8000;
-  options.agg = AggregateKind::kSum;
-  auto fixture = MakeSyntheticTask(options);
-  ASSERT_NE(fixture, nullptr);
-  const double step = 5.0;
-
-  CellSortedEvaluationLayer layer(&fixture->task, step);
-  ASSERT_TRUE(layer.Prepare().ok());
-  ASSERT_TRUE(AppendToFixture(fixture.get(), 700, 7).ok());
-  ASSERT_TRUE(layer.MergeDeltas().ok());
-  EXPECT_EQ(layer.staged_delta_rows(), 0u);
-  EXPECT_EQ(layer.consumed_rows(), options.rows + 700);
-  EXPECT_EQ(layer.stats().delta_merges, 1u);
-  EXPECT_TRUE(layer.SupportsConcurrentEvaluate());
-
-  CellSortedEvaluationLayer rebuilt(&fixture->task, step);
-  ASSERT_TRUE(rebuilt.Prepare().ok());
-  ExpectBitIdenticalAnswers(&layer, &rebuilt, step);
-
-  // A second append round on the already-merged layer must keep matching.
-  ASSERT_TRUE(AppendToFixture(fixture.get(), 300, 8).ok());
-  CellSortedEvaluationLayer rebuilt2(&fixture->task, step);
-  ASSERT_TRUE(rebuilt2.Prepare().ok());
-  ExpectBitIdenticalAnswers(&layer, &rebuilt2, step);
+TEST(DeltaMaintenanceTest, SerialScanMatchesFreshLayerAfterAppend) {
+  ExpectGrowthMatchesFreshLayer(LayerKind::kSerialScan);
 }
 
-TEST(DeltaMaintenanceTest, CellSortedThresholdTriggersMerge) {
-  SyntheticOptions options;
-  options.d = 2;
-  options.rows = 6000;
-  auto fixture = MakeSyntheticTask(options);
-  ASSERT_NE(fixture, nullptr);
-  const double step = 5.0;
-
-  CellSortedEvaluationLayer layer(&fixture->task, step);
-  ASSERT_TRUE(layer.Prepare().ok());
-  layer.set_delta_merge_threshold(100);
-  EXPECT_EQ(layer.delta_merge_threshold(), 100u);
-
-  // Below the threshold: staged.
-  ASSERT_TRUE(AppendToFixture(fixture.get(), 50, 1).ok());
-  std::vector<PScoreRange> probe = {CellRangeForLevel(1, step),
-                                    CellRangeForLevel(1, step)};
-  ASSERT_TRUE(layer.EvaluateBox(probe).ok());
-  EXPECT_GT(layer.staged_delta_rows(), 0u);
-  EXPECT_EQ(layer.stats().delta_merges, 0u);
-  EXPECT_FALSE(layer.SupportsConcurrentEvaluate());  // staging pending
-
-  // Crossing it: the next sync absorbs everything.
-  ASSERT_TRUE(AppendToFixture(fixture.get(), 100, 2).ok());
-  ASSERT_TRUE(layer.EvaluateBox(probe).ok());
-  EXPECT_EQ(layer.staged_delta_rows(), 0u);
-  EXPECT_EQ(layer.stats().delta_merges, 1u);
-  EXPECT_TRUE(layer.SupportsConcurrentEvaluate());
-
-  CellSortedEvaluationLayer rebuilt(&fixture->task, step);
-  ASSERT_TRUE(rebuilt.Prepare().ok());
-  ExpectBitIdenticalAnswers(&layer, &rebuilt, step);
+TEST(DeltaMaintenanceTest, PooledScanMatchesFreshLayerAfterAppend) {
+  ExpectGrowthMatchesFreshLayer(LayerKind::kPooledScan);
 }
 
-TEST(DeltaMaintenanceTest, CellSortedOffGridProbeAbsorbsStagedRows) {
-  SyntheticOptions options;
-  options.d = 2;
-  options.rows = 6000;
-  options.agg = AggregateKind::kSum;
-  auto fixture = MakeSyntheticTask(options);
-  ASSERT_NE(fixture, nullptr);
-  const double step = 5.0;
-  CellSortedEvaluationLayer layer(&fixture->task, step);
-  ASSERT_TRUE(layer.Prepare().ok());
-  ASSERT_TRUE(AppendToFixture(fixture.get(), 200, 3).ok());
-
-  // The off-grid fallback scans the contiguous permuted matrix, so it must
-  // absorb the staged rows first — and still match the rebuild exactly.
-  std::vector<PScoreRange> off_grid = {PScoreRange{-1.0, 7.3},
-                                       PScoreRange{2.1, 13.9}};
-  auto got = layer.EvaluateBox(off_grid);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(layer.staged_delta_rows(), 0u);
-  EXPECT_EQ(layer.stats().delta_merges, 1u);
-
-  CellSortedEvaluationLayer rebuilt(&fixture->task, step);
-  ASSERT_TRUE(rebuilt.Prepare().ok());
-  auto expected = rebuilt.EvaluateBox(off_grid);
-  ASSERT_TRUE(expected.ok());
-  EXPECT_EQ(*got, *expected);
-}
-
-TEST(DeltaMaintenanceTest, CellSortedDeltaMergeFailpointRebuildIsIdentical) {
-  if (!FailpointRegistry::compiled_in()) {
-    GTEST_SKIP() << "failpoints compiled out";
-  }
-  SyntheticOptions options;
-  options.d = 2;
-  options.rows = 6000;
-  options.agg = AggregateKind::kSum;
-  auto fixture = MakeSyntheticTask(options);
-  ASSERT_NE(fixture, nullptr);
-  const double step = 5.0;
-  CellSortedEvaluationLayer layer(&fixture->task, step);
-  ASSERT_TRUE(layer.Prepare().ok());
-  ASSERT_TRUE(AppendToFixture(fixture.get(), 400, 4).ok());
-
-  auto& registry = FailpointRegistry::Global();
-  ASSERT_TRUE(registry.Configure("index.delta_merge", "p:1").ok());
-  Status merged = layer.MergeDeltas();
-  registry.DisarmAll();
-  ASSERT_TRUE(merged.ok());
-  EXPECT_EQ(layer.staged_delta_rows(), 0u);
-  EXPECT_EQ(layer.consumed_rows(), options.rows + 400);
-
-  CellSortedEvaluationLayer rebuilt(&fixture->task, step);
-  ASSERT_TRUE(rebuilt.Prepare().ok());
-  ExpectBitIdenticalAnswers(&layer, &rebuilt, step);
-}
-
-TEST(DeltaMaintenanceTest, GridIndexStagedDeltasMatchFullRebuild) {
-  for (AggregateKind agg : {AggregateKind::kCount, AggregateKind::kSum,
-                            AggregateKind::kAvg, AggregateKind::kMin}) {
-    SyntheticOptions options;
-    options.d = 2;
-    options.rows = 8000;
-    options.agg = agg;
-    auto fixture = MakeSyntheticTask(options);
-    ASSERT_NE(fixture, nullptr);
-    const double step = 5.0;
-
-    GridIndexEvaluationLayer layer(&fixture->task, step);
-    ASSERT_TRUE(layer.Prepare().ok());
-    ASSERT_TRUE(AppendToFixture(fixture.get(), 500, 11).ok());
-
-    std::vector<PScoreRange> probe = {CellRangeForLevel(2, step),
-                                      CellRangeForLevel(3, step)};
-    ASSERT_TRUE(layer.EvaluateBox(probe).ok());
-    EXPECT_EQ(layer.consumed_rows(), options.rows + 500);
-    EXPECT_GT(layer.staged_delta_rows(), 0u);
-
-    GridIndexEvaluationLayer rebuilt(&fixture->task, step);
-    ASSERT_TRUE(rebuilt.Prepare().ok());
-    ExpectBitIdenticalAnswers(&layer, &rebuilt, step);
-  }
-}
-
-TEST(DeltaMaintenanceTest, GridIndexMergeMatchesFullRebuild) {
-  SyntheticOptions options;
-  options.d = 2;
-  options.rows = 8000;
-  options.agg = AggregateKind::kSum;
-  auto fixture = MakeSyntheticTask(options);
-  ASSERT_NE(fixture, nullptr);
-  const double step = 5.0;
-
-  GridIndexEvaluationLayer layer(&fixture->task, step);
-  ASSERT_TRUE(layer.Prepare().ok());
-  ASSERT_TRUE(AppendToFixture(fixture.get(), 600, 12).ok());
-  ASSERT_TRUE(layer.MergeDeltas().ok());
-  EXPECT_EQ(layer.staged_delta_rows(), 0u);
-  EXPECT_EQ(layer.consumed_rows(), options.rows + 600);
-  EXPECT_TRUE(layer.SupportsConcurrentEvaluate());
-
-  GridIndexEvaluationLayer rebuilt(&fixture->task, step);
-  ASSERT_TRUE(rebuilt.Prepare().ok());
-  ExpectBitIdenticalAnswers(&layer, &rebuilt, step);
-}
-
-TEST(DeltaMaintenanceTest, GridIndexDeltaMergeFailpointRebuildIsIdentical) {
-  if (!FailpointRegistry::compiled_in()) {
-    GTEST_SKIP() << "failpoints compiled out";
-  }
-  SyntheticOptions options;
-  options.d = 2;
-  options.rows = 6000;
-  options.agg = AggregateKind::kMax;
-  auto fixture = MakeSyntheticTask(options);
-  ASSERT_NE(fixture, nullptr);
-  const double step = 5.0;
-  GridIndexEvaluationLayer layer(&fixture->task, step);
-  ASSERT_TRUE(layer.Prepare().ok());
-  ASSERT_TRUE(AppendToFixture(fixture.get(), 300, 13).ok());
-
-  auto& registry = FailpointRegistry::Global();
-  ASSERT_TRUE(registry.Configure("index.delta_merge", "p:1").ok());
-  Status merged = layer.MergeDeltas();
-  registry.DisarmAll();
-  ASSERT_TRUE(merged.ok());
-  EXPECT_EQ(layer.staged_delta_rows(), 0u);
-
-  GridIndexEvaluationLayer rebuilt(&fixture->task, step);
-  ASSERT_TRUE(rebuilt.Prepare().ok());
-  ExpectBitIdenticalAnswers(&layer, &rebuilt, step);
-}
-
-TEST(DeltaMaintenanceTest, AppendKeepsAmortizedCostLow) {
-  // Acceptance shape: appending k rows below the threshold must not run a
-  // rebuild — prepare_ms accrues only the staging cost, and delta_merges
-  // stays 0 across many small appends.
-  SyntheticOptions options;
-  options.d = 2;
-  options.rows = 20000;
-  auto fixture = MakeSyntheticTask(options);
-  ASSERT_NE(fixture, nullptr);
-  const double step = 5.0;
-  CellSortedEvaluationLayer layer(&fixture->task, step);
-  ASSERT_TRUE(layer.Prepare().ok());
-
-  std::vector<PScoreRange> probe = {CellRangeForLevel(2, step),
-                                    CellRangeForLevel(3, step)};
-  for (int round = 0; round < 10; ++round) {
-    ASSERT_TRUE(AppendToFixture(fixture.get(), 50, 100 + round).ok());
-    ASSERT_TRUE(layer.EvaluateBox(probe).ok());
-  }
-  // 500 rows < max(4096, 20000/8): no merge, all staged.
-  EXPECT_EQ(layer.stats().delta_merges, 0u);
-  EXPECT_GT(layer.staged_delta_rows(), 0u);
-  EXPECT_EQ(layer.consumed_rows(), options.rows + 500);
+TEST(DeltaMaintenanceTest, CellSortedMatchesFreshLayerAfterAppend) {
+  ExpectGrowthMatchesFreshLayer(LayerKind::kCellSorted);
 }
 
 TEST(DeltaMaintenanceTest, TableAppendRowsIsAtomicOnBadRow) {

@@ -28,7 +28,7 @@ TEST(CollectWithinGammaTest, AnswersSpanMultipleLayers) {
   fixture->task.constraint.target =
       probe.EvaluateQueryValue({0.0, 0.0}).value() * 1.5;
 
-  CachedEvaluationLayer layer(&fixture->task);
+  ParallelEvaluationLayer layer(&fixture->task, /*pool=*/nullptr);
   AcquireOptions acq;
   acq.delta = 0.15;  // generous band: later layers also qualify
   acq.collect_within_gamma = true;
@@ -73,7 +73,7 @@ TEST(ContractionPrinterTest, RefinedSqlRendersContractedBounds) {
   fixture->task.constraint.target =
       probe.EvaluateQueryValue({0.0}).value() * 0.5;
 
-  CachedEvaluationLayer layer(&fixture->task);
+  ParallelEvaluationLayer layer(&fixture->task, /*pool=*/nullptr);
   AcquireOptions acq;
   acq.delta = 0.05;
   acq.repartition_iters = 20;

@@ -163,7 +163,7 @@ TEST(DriverOptionEdgeTest, StallLimitStopsHopelessSearch) {
   auto fixture = MakeSyntheticTask(options);
   ASSERT_NE(fixture, nullptr);
   fixture->task.constraint.target = 1e9;  // unreachable COUNT
-  CachedEvaluationLayer layer(&fixture->task);
+  ParallelEvaluationLayer layer(&fixture->task, /*pool=*/nullptr);
   AcquireOptions acq;
   acq.stall_limit = 200;
   acq.divergence_patience = 1000000;  // isolate the stall guard

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/random.h"
+#include "exec/parallel_evaluation.h"
 #include "exec/planner.h"
 #include "workload/tpch_gen.h"
 
@@ -69,6 +70,12 @@ TEST(PScoreRangeTest, AdmitsSemantics) {
   EXPECT_TRUE(band.Admits(5.1));
 }
 
+TEST(GridCoordHashTest, DistinctCoordsDistinctHashesMostly) {
+  GridCoordHash hash;
+  EXPECT_NE(hash({0, 1}), hash({1, 0}));
+  EXPECT_EQ(hash({2, 3}), hash({2, 3}));
+}
+
 class EvaluationLayerTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -98,7 +105,7 @@ class EvaluationLayerTest : public ::testing::Test {
 
 TEST_F(EvaluationLayerTest, DirectAndCachedAgreeOnRandomBoxes) {
   DirectEvaluationLayer direct(task_.get());
-  CachedEvaluationLayer cached(task_.get());
+  ParallelEvaluationLayer cached(task_.get(), /*pool=*/nullptr);
   ASSERT_TRUE(cached.Prepare().ok());
   Rng rng(3);
   for (int trial = 0; trial < 50; ++trial) {
@@ -136,7 +143,7 @@ TEST_F(EvaluationLayerTest, FullQueryAtZeroMatchesOriginalPredicates) {
 }
 
 TEST_F(EvaluationLayerTest, WiderBoxesAreMonotone) {
-  CachedEvaluationLayer layer(task_.get());
+  ParallelEvaluationLayer layer(task_.get(), /*pool=*/nullptr);
   double prev = 0.0;
   for (double p = 0.0; p <= 50.0; p += 10.0) {
     auto value = layer.EvaluateQueryValue({p, p});

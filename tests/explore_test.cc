@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/expand.h"
+#include "exec/parallel_evaluation.h"
 #include "test_util.h"
 
 namespace acquire {
@@ -30,7 +31,7 @@ TEST_P(ExploreTest, IncrementalEqualsFullReexecution) {
   AcqTask& task = fixture->task;
 
   RefinedSpace space(&task, 12.0, Norm::L1());
-  CachedEvaluationLayer layer(&task);
+  ParallelEvaluationLayer layer(&task, /*pool=*/nullptr);
   ASSERT_TRUE(layer.Prepare().ok());
   Explorer explorer(&space, &layer);
 
@@ -68,7 +69,7 @@ TEST(ExplorerTest, OneCellExecutionPerCoordinate) {
   auto fixture = MakeSyntheticTask(options);
   ASSERT_NE(fixture, nullptr);
   RefinedSpace space(&fixture->task, 10.0, Norm::L1());
-  CachedEvaluationLayer layer(&fixture->task);
+  ParallelEvaluationLayer layer(&fixture->task, /*pool=*/nullptr);
   Explorer explorer(&space, &layer);
 
   BfsGenerator gen(&space);
@@ -91,7 +92,7 @@ TEST(ExplorerTest, OutOfOrderRequestFillsPredecessorsOnce) {
   auto fixture = MakeSyntheticTask(options);
   ASSERT_NE(fixture, nullptr);
   RefinedSpace space(&fixture->task, 10.0, Norm::L1());
-  CachedEvaluationLayer layer(&fixture->task);
+  ParallelEvaluationLayer layer(&fixture->task, /*pool=*/nullptr);
   Explorer explorer(&space, &layer);
 
   // Jump straight to (3, 2) without visiting anything below it.
@@ -113,7 +114,7 @@ TEST(ExplorerTest, ShellOrderWorksDespiteInShellDependencies) {
   auto fixture = MakeSyntheticTask(options);
   ASSERT_NE(fixture, nullptr);
   RefinedSpace space(&fixture->task, 10.0, Norm::LInf());
-  CachedEvaluationLayer layer(&fixture->task);
+  ParallelEvaluationLayer layer(&fixture->task, /*pool=*/nullptr);
   Explorer explorer(&space, &layer);
   DirectEvaluationLayer reference(&fixture->task);
 

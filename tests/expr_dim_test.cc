@@ -7,6 +7,7 @@
 
 #include "core/acquire.h"
 #include "exec/join.h"
+#include "exec/parallel_evaluation.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
 #include "workload/tpch_gen.h"
@@ -175,7 +176,7 @@ TEST_F(NonEquiJoinSqlTest, RefinableNonEquiJoinEndToEnd) {
       if (2 * ax < 3 * bx) ++base;
     }
   }
-  CachedEvaluationLayer layer(&*task);
+  ParallelEvaluationLayer layer(&*task, /*pool=*/nullptr);
   double origin = layer.EvaluateQueryValue({0.0}).value();
   EXPECT_DOUBLE_EQ(origin, static_cast<double>(base));
 
@@ -215,7 +216,7 @@ TEST_F(NonEquiJoinSqlTest, ArithmeticSelectPredicateViaSql) {
       "WHERE l_quantity * l_extendedprice < 100000");
   ASSERT_TRUE(task.ok()) << task.status().ToString();
   EXPECT_EQ(task->d(), 1u);
-  CachedEvaluationLayer layer(&*task);
+  ParallelEvaluationLayer layer(&*task, /*pool=*/nullptr);
   auto result = RunAcquire(*task, &layer, {});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->satisfied);
@@ -234,7 +235,7 @@ TEST_F(NonEquiJoinSqlTest, SameTableFunctionComparisonRefines) {
       "WHERE l_quantity < l_discount * 300");
   ASSERT_TRUE(task.ok()) << task.status().ToString();
   EXPECT_EQ(task->d(), 1u);
-  CachedEvaluationLayer layer(&*task);
+  ParallelEvaluationLayer layer(&*task, /*pool=*/nullptr);
   auto result = RunAcquire(*task, &layer, {});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->satisfied);

@@ -70,7 +70,7 @@ TEST(CustomMetricDimTest, AcquireRunsOnCustomMetric) {
   // search should prefer dim 1.
   fixture->task.dims[0] = std::make_unique<CustomMetricDim>(
       std::move(fixture->task.dims[0]), [](double p) { return 5.0 * p; });
-  CachedEvaluationLayer layer(&fixture->task);
+  ParallelEvaluationLayer layer(&fixture->task, /*pool=*/nullptr);
   AcquireOptions acq;
   acq.order = SearchOrder::kBestFirst;
   auto result = RunAcquire(fixture->task, &layer, acq);
@@ -91,9 +91,9 @@ TEST(ParallelLayerTest, MatchesDirectLayerExactly) {
   auto fixture = MakeSyntheticTask(options);
   ASSERT_NE(fixture, nullptr);
   DirectEvaluationLayer direct(&fixture->task);
-  ParallelEvaluationLayer parallel(&fixture->task, 4);
+  ThreadPool pool(4);
+  ParallelEvaluationLayer parallel(&fixture->task, &pool);
   ASSERT_TRUE(parallel.Prepare().ok());
-  EXPECT_EQ(parallel.threads(), 4u);
   Rng rng(5);
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<double> pscores(3);
@@ -110,7 +110,8 @@ TEST(ParallelLayerTest, SmallInputsFallBackToSingleThread) {
   options.rows = 100;  // under the per-worker chunk threshold
   auto fixture = MakeSyntheticTask(options);
   ASSERT_NE(fixture, nullptr);
-  ParallelEvaluationLayer layer(&fixture->task, 8);
+  ThreadPool pool(8);
+  ParallelEvaluationLayer layer(&fixture->task, &pool);
   auto v = layer.EvaluateQueryValue({10.0});
   ASSERT_TRUE(v.ok());
   DirectEvaluationLayer direct(&fixture->task);
@@ -126,7 +127,7 @@ TEST(ParallelLayerTest, DriverRunsOnParallelLayer) {
   DirectEvaluationLayer probe(&fixture->task);
   fixture->task.constraint.target =
       probe.EvaluateQueryValue({0.0, 0.0}).value() * 2.0;
-  ParallelEvaluationLayer layer(&fixture->task, 0);  // hardware threads
+  ParallelEvaluationLayer layer(&fixture->task, &ThreadPool::Shared());
   auto result = RunAcquire(fixture->task, &layer, {});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->satisfied);

@@ -11,6 +11,7 @@
 #include "common/random.h"
 #include "core/processor.h"
 #include "exec/materialize.h"
+#include "exec/parallel_evaluation.h"
 #include "exec/planner.h"
 #include "storage/catalog.h"
 
@@ -103,7 +104,7 @@ TEST_P(FuzzTest, RandomTaskInvariantsHold) {
   double factor = rng.NextDouble(0.5, 3.0);
   task.constraint.target = std::fabs(base) * factor + 1.0;
 
-  CachedEvaluationLayer layer(&task);
+  ParallelEvaluationLayer layer(&task, /*pool=*/nullptr);
   AcquireOptions options;
   options.delta = rng.NextDouble(0.01, 0.1);
   options.gamma = rng.NextDouble(5.0, 30.0);

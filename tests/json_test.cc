@@ -136,7 +136,6 @@ TEST(JsonTest, ProgressFrameSchemaRoundTrips) {
       "\"best\":{\"qscore\":6.5,\"aggregate\":1203,\"error\":0.0033,"
       "\"refined\":\"age <= 30 AND income >= 52000\"},"
       "\"eval_queries\":345,\"tuples_scanned\":98765,\"prepare_ms\":0.5,"
-      "\"delta_rows\":0,\"delta_merges\":0,"
       "\"governor\":{\"active_slots\":1,\"slot_limit\":2,"
       "\"memory_share_bytes\":1048576,\"running\":1,\"queued\":0}}";
   JsonValue frame = MustParse(frame_line);

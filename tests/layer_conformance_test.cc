@@ -1,6 +1,7 @@
-// Conformance suite for every exact evaluation layer: direct, cached,
-// parallel, grid index, cell-sorted, and the sampling layer at rate 1.0
-// (a full "sample" must be exact). All must return identical aggregate
+// Conformance suite for every exact evaluation layer: direct, the
+// materialized scan serial ("Cached") and pooled ("Parallel"), the
+// cell-sorted grid index, and the sampling layer at rate 1.0 (a full
+// "sample" must be exact). All must return identical aggregate
 // states for identical box queries, across aggregates and random boxes.
 // COUNT/MIN/MAX must match bit-for-bit (no FP reassociation can change
 // them); SUM/AVG are compared with a tight relative tolerance because
@@ -15,14 +16,14 @@
 namespace acquire {
 namespace {
 
+using test_util::FourWorkerPool;
 using test_util::MakeSyntheticTask;
 using test_util::SyntheticOptions;
 
 enum class LayerKind {
   kDirect,
-  kCached,
-  kParallel,
-  kGridIndex,
+  kCached,    // materialized scan, serial
+  kParallel,  // materialized scan, pool-chunked
   kCellSorted,
   kFullSample,
 };
@@ -35,8 +36,6 @@ const char* LayerName(LayerKind kind) {
       return "Cached";
     case LayerKind::kParallel:
       return "Parallel";
-    case LayerKind::kGridIndex:
-      return "GridIndex";
     case LayerKind::kCellSorted:
       return "CellSorted";
     case LayerKind::kFullSample:
@@ -51,11 +50,10 @@ std::unique_ptr<EvaluationLayer> MakeLayer(LayerKind kind,
     case LayerKind::kDirect:
       return std::make_unique<DirectEvaluationLayer>(task);
     case LayerKind::kCached:
-      return std::make_unique<CachedEvaluationLayer>(task);
+      return std::make_unique<ParallelEvaluationLayer>(task, nullptr);
     case LayerKind::kParallel:
-      return std::make_unique<ParallelEvaluationLayer>(task, 4);
-    case LayerKind::kGridIndex:
-      return std::make_unique<GridIndexEvaluationLayer>(task, 5.0);
+      return std::make_unique<ParallelEvaluationLayer>(task,
+                                                       &FourWorkerPool());
     case LayerKind::kCellSorted:
       return std::make_unique<CellSortedEvaluationLayer>(task, 5.0);
     case LayerKind::kFullSample:
@@ -89,6 +87,11 @@ TEST_P(LayerConformanceTest, MatchesDirectOnRandomBoxes) {
   std::unique_ptr<EvaluationLayer> layer = MakeLayer(kind, &fixture->task);
   ASSERT_NE(layer, nullptr);
   ASSERT_TRUE(layer->Prepare().ok());
+  if (kind == LayerKind::kCached || kind == LayerKind::kParallel ||
+      kind == LayerKind::kCellSorted) {
+    // Every prepared backend reports its build time.
+    EXPECT_GT(layer->stats().prepare_ms, 0.0) << LayerName(kind);
+  }
 
   Rng rng(7 + static_cast<uint64_t>(kind) * 31 +
           static_cast<uint64_t>(agg) * 101);
@@ -97,7 +100,8 @@ TEST_P(LayerConformanceTest, MatchesDirectOnRandomBoxes) {
     std::vector<PScoreRange> box(3);
     for (auto& r : box) {
       // Mix grid-aligned and arbitrary ranges so every code path of the
-      // grid index (cell probe, aligned box, scan fallback) is exercised.
+      // cell-sorted index (cell probe, aligned box, scan fallback) is
+      // exercised.
       if (rng.NextBool(0.4)) {
         int64_t level = static_cast<int64_t>(rng.NextBounded(8));
         r = CellRangeForLevel(level, 5.0);
@@ -202,7 +206,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(LayerKind::kDirect,
                                          LayerKind::kCached,
                                          LayerKind::kParallel,
-                                         LayerKind::kGridIndex,
                                          LayerKind::kCellSorted,
                                          LayerKind::kFullSample),
                        ::testing::Values(AggregateKind::kCount,
@@ -226,7 +229,7 @@ TEST(MinAggregateTest, ExpansionNeverIncreasesMin) {
   options.target = 1.0;
   auto fixture = MakeSyntheticTask(options);
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer layer(&fixture->task);
+  ParallelEvaluationLayer layer(&fixture->task, /*pool=*/nullptr);
   double prev = std::numeric_limits<double>::infinity();
   for (double p = 0.0; p <= 120.0; p += 15.0) {
     double value = layer.EvaluateQueryValue({p, p}).value();

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/acquire.h"
+#include "exec/parallel_evaluation.h"
 #include "exec/planner.h"
 
 namespace acquire {
@@ -149,7 +150,7 @@ TEST(CategoricalAcquireTest, EndToEndRollupRefinement) {
   auto task = PlanAcqTask(catalog, spec);
   ASSERT_TRUE(task.ok()) << task.status().ToString();
 
-  CachedEvaluationLayer layer(&*task);
+  ParallelEvaluationLayer layer(&*task, /*pool=*/nullptr);
   AcquireOptions options;
   options.gamma = 10.0;  // step 10 = one roll-up per layer
   options.delta = 0.0;

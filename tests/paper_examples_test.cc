@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/acquire.h"
+#include "exec/parallel_evaluation.h"
 #include "sql/binder.h"
 #include "sql/printer.h"
 #include "workload/tpch_gen.h"
@@ -43,7 +44,7 @@ TEST_F(PaperExamplesTest, Q1AdCampaignCountConstraint) {
   ASSERT_TRUE(task.ok()) << task.status().ToString();
   EXPECT_EQ(task->d(), 3u);  // range splits into two dims + engagement
 
-  CachedEvaluationLayer layer(&*task);
+  ParallelEvaluationLayer layer(&*task, /*pool=*/nullptr);
   AcquireOptions options;
   options.delta = 0.05;
   auto result = RunAcquire(*task, &layer, options);
@@ -73,7 +74,7 @@ TEST_F(PaperExamplesTest, Q2SupplyChainSumConstraint) {
   ASSERT_TRUE(task.ok()) << task.status().ToString();
   EXPECT_EQ(task->d(), 2u);
 
-  CachedEvaluationLayer layer(&*task);
+  ParallelEvaluationLayer layer(&*task, /*pool=*/nullptr);
   AcquireOptions options;
   options.delta = 0.05;
   auto result = RunAcquire(*task, &layer, options);
@@ -105,7 +106,7 @@ TEST_F(PaperExamplesTest, Q3JoinRefinementFromSection24) {
   ASSERT_TRUE(task.ok()) << task.status().ToString();
   EXPECT_EQ(task->d(), 2u);
 
-  CachedEvaluationLayer layer(&*task);
+  ParallelEvaluationLayer layer(&*task, /*pool=*/nullptr);
   AcquireOptions options;
   options.delta = 0.05;
   auto result = RunAcquire(*task, &layer, options);
@@ -129,7 +130,7 @@ TEST_F(PaperExamplesTest, AvgOutlierAnalysisUseCase) {
       "WHERE age >= 60 AND systolic_bp >= 140");
   ASSERT_TRUE(task.ok()) << task.status().ToString();
 
-  CachedEvaluationLayer layer(&*task);
+  ParallelEvaluationLayer layer(&*task, /*pool=*/nullptr);
   auto result = RunAcquire(*task, &layer, {});
   ASSERT_TRUE(result.ok());
   // Either the original already exceeds the AVG floor or a refinement does.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/acquire.h"
+#include "exec/parallel_evaluation.h"
 #include "sql/binder.h"
 #include "workload/tpch_gen.h"
 
@@ -41,7 +42,7 @@ TEST_F(PrinterTest, RefinedSqlIsRunnablePlainSql) {
       "SELECT * FROM lineitem CONSTRAINT COUNT(*) = 900 "
       "WHERE l_quantity < 20 AND l_discount <= 0.05 NOREFINE");
   ASSERT_TRUE(task.ok());
-  CachedEvaluationLayer layer(&*task);
+  ParallelEvaluationLayer layer(&*task, /*pool=*/nullptr);
   auto result = RunAcquire(*task, &layer, {});
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result->satisfied);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/parallel_evaluation.h"
 #include "test_util.h"
 
 namespace acquire {
@@ -28,7 +29,7 @@ std::unique_ptr<test_util::SyntheticTask> FixtureWithTargetFactor(
 TEST(ProcessAcqTest, OriginalSatisfiesShortCircuits) {
   auto fixture = FixtureWithTargetFactor(1.0);
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer layer(&fixture->task);
+  ParallelEvaluationLayer layer(&fixture->task, /*pool=*/nullptr);
   auto outcome = ProcessAcq(fixture->task, &layer, {});
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->mode, AcqMode::kOriginalSatisfies);
@@ -41,7 +42,7 @@ TEST(ProcessAcqTest, OriginalSatisfiesShortCircuits) {
 TEST(ProcessAcqTest, UndershootDispatchesToExpansion) {
   auto fixture = FixtureWithTargetFactor(1.8);
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer layer(&fixture->task);
+  ParallelEvaluationLayer layer(&fixture->task, /*pool=*/nullptr);
   auto outcome = ProcessAcq(fixture->task, &layer, {});
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->mode, AcqMode::kExpanded);
@@ -53,7 +54,7 @@ TEST(ProcessAcqTest, UndershootDispatchesToExpansion) {
 TEST(ProcessAcqTest, OvershootDispatchesToContraction) {
   auto fixture = FixtureWithTargetFactor(0.5);  // target = half the results
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer layer(&fixture->task);
+  ParallelEvaluationLayer layer(&fixture->task, /*pool=*/nullptr);
   AcquireOptions options;
   options.gamma = 16.0;
   options.delta = 0.1;
@@ -71,7 +72,7 @@ TEST(ProcessAcqTest, OvershootOfInequalityIsAlreadySatisfied) {
   // ">= target" with an overshooting original is simply satisfied.
   auto fixture = FixtureWithTargetFactor(0.5, ConstraintOp::kGe);
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer layer(&fixture->task);
+  ParallelEvaluationLayer layer(&fixture->task, /*pool=*/nullptr);
   auto outcome = ProcessAcq(fixture->task, &layer, {});
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->mode, AcqMode::kOriginalSatisfies);
@@ -89,7 +90,7 @@ TEST(ProcessAcqTest, MismatchedLayerRejected) {
   auto f2 = FixtureWithTargetFactor(1.5);
   ASSERT_NE(f1, nullptr);
   ASSERT_NE(f2, nullptr);
-  CachedEvaluationLayer layer(&f2->task);
+  ParallelEvaluationLayer layer(&f2->task, /*pool=*/nullptr);
   EXPECT_FALSE(ProcessAcq(f1->task, &layer, {}).ok());
 }
 

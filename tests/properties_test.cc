@@ -6,7 +6,8 @@
 #include <cmath>
 
 #include "core/acquire.h"
-#include "index/grid_index.h"
+#include "exec/parallel_evaluation.h"
+#include "index/cell_sorted.h"
 #include "test_util.h"
 
 namespace acquire {
@@ -56,11 +57,11 @@ TEST_P(AcquireSweepTest, GuaranteesHoldAcrossConfigurations) {
   acq.delta = 0.05;
 
   // Run with all three evaluation layers and the naive ablation.
-  CachedEvaluationLayer cached(&fixture->task);
+  ParallelEvaluationLayer cached(&fixture->task, /*pool=*/nullptr);
   DirectEvaluationLayer direct(&fixture->task);
   RefinedSpace space(&fixture->task, acq.gamma, acq.norm);
-  GridIndexEvaluationLayer indexed(&fixture->task, space.step());
-  CachedEvaluationLayer naive_layer(&fixture->task);
+  CellSortedEvaluationLayer indexed(&fixture->task, space.step());
+  ParallelEvaluationLayer naive_layer(&fixture->task, /*pool=*/nullptr);
   AcquireOptions naive = acq;
   naive.use_incremental = false;
 
@@ -141,7 +142,7 @@ TEST_P(ContainmentTest, ContainedQueriesAreSubsets) {
   auto fixture = MakeSyntheticTask(options);
   ASSERT_NE(fixture, nullptr);
   RefinedSpace space(&fixture->task, 10.0, Norm::L1());
-  CachedEvaluationLayer layer(&fixture->task);
+  ParallelEvaluationLayer layer(&fixture->task, /*pool=*/nullptr);
 
   Rng rng(31 + GetParam());
   for (int trial = 0; trial < 20; ++trial) {

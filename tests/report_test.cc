@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/parallel_evaluation.h"
 #include "test_util.h"
 
 namespace acquire {
@@ -77,7 +78,7 @@ TEST(ParetoFilterTest, HitLayerAnswersAreAllTradeoffs) {
   DirectEvaluationLayer probe(&fixture->task);
   fixture->task.constraint.target =
       probe.EvaluateQueryValue({0.0, 0.0}).value() * 1.6;
-  CachedEvaluationLayer layer(&fixture->task);
+  ParallelEvaluationLayer layer(&fixture->task, /*pool=*/nullptr);
   AcquireOptions acq;
   acq.delta = 0.2;  // generous: several same-layer hits
   auto result = RunAcquire(fixture->task, &layer, acq);

@@ -8,10 +8,18 @@
 
 #include "common/random.h"
 #include "exec/planner.h"
+#include "exec/thread_pool.h"
 #include "storage/catalog.h"
 
 namespace acquire {
 namespace test_util {
+
+// A 4-worker pool for pooled layers, so their chunking does not depend on
+// the machine's core count.
+inline ThreadPool& FourWorkerPool() {
+  static ThreadPool pool(4);
+  return pool;
+}
 
 struct SyntheticTask {
   Catalog catalog;  // owns the data; must outlive `task`
